@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge gate: build everything under AddressSanitizer + UBSan and run
 # the default test suite plus the stress-, checkpoint-, cluster-, spill-,
-# and drawmode-labeled tests (see README.md), exercise CLI-level
+# drawmode- and selector-labeled tests (see README.md), exercise CLI-level
 # checkpoint/resume including corrupt-snapshot rejection, a --draw-mode
 # skip round-trip with mode-mismatch rejection, a node-kill cluster
 # failover smoke, and a quarter-budget spill smoke that must reproduce the
@@ -58,6 +58,9 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L spill
 
 echo "== drawmode-labeled tests (skip/alias statistical pinning, mode identity) =="
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L drawmode
+
+echo "== selector-labeled tests (append-only selection index vs fresh rebuild) =="
+ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L selector
 
 echo "== CLI checkpoint/resume round-trip + corrupt-snapshot rejection =="
 ckpt_tmp="$(mktemp -d)"

@@ -2,8 +2,10 @@
 //
 // Mirrors the paper's layout: a single flat array R holding every set's
 // vertices (log-encoded when enabled), the offset array O, and the
-// frequency counts C updated atomically as sets are committed (Alg. 2,
-// lines 21-28). Warps claim a slice of R with a CAS on the shared element
+// frequency counts C (Alg. 2, lines 21-28). C's device bytes are charged
+// here and the sampler charges its atomics, but the host values are summed
+// by the selector's SelectionIndex, so a commit touches each element once.
+// Warps claim a slice of R with a CAS on the shared element
 // cursor — a claim either fits entirely or is never made, so the cursor is
 // monotone and never exceeds capacity — and publish their vertices
 // independently; the thread-safe packed store of §3.1 makes that safe under
@@ -63,11 +65,14 @@ class DeviceRrrCollection {
   /// the whole set fits, so the element cursor never overshoots capacity
   /// and never moves backwards. Returns false when capacity is insufficient
   /// (the caller re-issues the sample after the driver grows the arrays).
-  /// `sorted_set` must be ascending. Updates O, C, and the element cursor.
+  /// `sorted_set` must be ascending. Updates O and the element cursor.
   [[nodiscard]] bool try_commit(std::uint64_t set_index,
                                 std::span<const graph::VertexId> sorted_set);
 
   [[nodiscard]] graph::VertexId num_vertices() const noexcept { return n_; }
+  /// Process-unique id (never 0), so a selector's index can tell a new
+  /// collection from this one even if it reuses the same address.
+  [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
   /// Number of committed sets = high-water set index + 1 (driver-managed).
   [[nodiscard]] std::uint64_t num_sets() const noexcept { return num_sets_; }
   void set_num_sets(std::uint64_t sets) noexcept { num_sets_ = sets; }
@@ -93,8 +98,6 @@ class DeviceRrrCollection {
   /// through the attached store's staging pool instead (and may then throw
   /// IoError if its disk tier fails past the retry budget).
   void decode_set(std::uint64_t i, std::span<graph::VertexId> out) const;
-
-  [[nodiscard]] std::span<const std::uint32_t> counts() const noexcept { return counts_; }
 
   /// Device bytes of R + O + C as stored.
   [[nodiscard]] std::uint64_t stored_bytes() const noexcept;
@@ -151,6 +154,7 @@ class DeviceRrrCollection {
   [[nodiscard]] std::uint64_t budget_device_elements() const noexcept;
 
   gpusim::Device* device_;
+  std::uint64_t uid_;
   graph::VertexId n_;
   bool log_encode_;
   std::uint32_t bits_per_vertex_;
@@ -163,8 +167,6 @@ class DeviceRrrCollection {
   // O, split into start+length so out-of-order commits need no ordering.
   std::vector<std::uint64_t> starts_;
   std::vector<std::uint32_t> lengths_;
-
-  std::vector<std::uint32_t> counts_;  ///< C, updated with atomic_ref
 
   std::atomic<std::uint64_t> element_cursor_{0};
   std::uint64_t num_sets_ = 0;

@@ -1,8 +1,9 @@
 // Seed selection on the simulated device (paper §3.5, Algorithm 3).
 //
-// The greedy answer itself is computed exactly (host-side inverted index —
-// bit-identical to the serial reference); what the simulator adds is the
-// *device cost* of each pick:
+// The greedy answer itself is computed exactly over a host-side
+// SelectionIndex (bit-identical to the serial reference) that the selector
+// keeps across calls and extends with only the newly committed sets; what
+// the simulator adds is the *device cost* of each pick:
 //
 //  * an arg-max reduction over C (one kernel per pick), and
 //  * the count-update kernel: every launched unit reads F for its sets,
@@ -17,23 +18,14 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "eim/eim/options.hpp"
 #include "eim/eim/rrr_collection.hpp"
+#include "eim/eim/selection_index.hpp"
 #include "eim/gpusim/device.hpp"
 #include "eim/imm/seed_selection.hpp"
 
 namespace eim::eim_impl {
-
-/// How the host computes each pick's arg-max. Both produce bit-identical
-/// seed sequences (same tie-break: smallest vertex id among maximal
-/// counts); LinearReference exists so tests can property-check the heap
-/// against the obviously-correct O(n)-per-pick scan.
-enum class ArgMaxMode : std::uint8_t {
-  kLazyHeap,         ///< CELF-style lazy max-heap (default, O(log n) amortized)
-  kLinearReference,  ///< full scan per pick — test-only reference
-};
 
 class GpuSeedSelector {
  public:
@@ -47,7 +39,10 @@ class GpuSeedSelector {
 
   /// Run the full k-pick greedy over the collection's current contents,
   /// charging modeled kernel time per pick. Safe to call repeatedly as the
-  /// collection grows (each call re-reads it).
+  /// collection grows: the selector keeps a SelectionIndex keyed to the
+  /// collection's uid, so a call decodes and indexes only the sets committed
+  /// since the previous one (a different or shrunken collection starts it
+  /// over).
   [[nodiscard]] imm::SelectionResult select(const DeviceRrrCollection& collection,
                                             std::uint32_t k);
 
@@ -64,6 +59,7 @@ class GpuSeedSelector {
   /// outlive the selector or the next attach.
   void attach_profile(support::profiler::WallProfile* profile) noexcept {
     profile_ = profile;
+    index_.attach_profile(profile);
   }
 
  private:
@@ -72,6 +68,7 @@ class GpuSeedSelector {
   ArgMaxMode argmax_mode_ = ArgMaxMode::kLazyHeap;
   support::metrics::MetricsRegistry* metrics_ = nullptr;
   support::profiler::WallProfile* profile_ = nullptr;
+  SelectionIndex index_;
 };
 
 }  // namespace eim::eim_impl

@@ -1,18 +1,18 @@
 #include "eim/eim/multi_gpu.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
 
 #include "eim/eim/checkpoint.hpp"
-#include "eim/eim/lazy_greedy.hpp"
 #include "eim/eim/rrr_collection.hpp"
 #include "eim/eim/sampler.hpp"
+#include "eim/eim/selection_index.hpp"
 #include "eim/encoding/packed_csc.hpp"
 #include "eim/gpusim/timeline_trace.hpp"
 #include "eim/imm/driver.hpp"
-#include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
 #include "eim/support/trace.hpp"
@@ -20,16 +20,6 @@
 namespace eim::eim_impl {
 
 using graph::VertexId;
-
-namespace {
-
-/// Scalar binary-search cost in global reads (same formula as the
-/// single-device selector).
-std::uint64_t binsearch_probes(std::uint32_t len) {
-  return 1 + support::ceil_log2(std::max<std::uint32_t>(2, len));
-}
-
-}  // namespace
 
 MultiGpuResult run_eim_multi(std::vector<gpusim::Device*> devices,
                              const graph::Graph& g, graph::DiffusionModel model,
@@ -329,9 +319,10 @@ MultiGpuResult run_eim_multi(std::vector<gpusim::Device*> devices,
     phase_span.end(span_dev->timeline().total_seconds());
   };
 
-  // Selection: exact greedy on the merged host mirror; modeled cost is the
-  // max over devices' shard scans (they run concurrently) plus the per-pick
-  // broadcast/return traffic.
+  // Selection: exact greedy on the run's append-only host index; modeled
+  // cost is the max over devices' shard scans (they run concurrently) plus
+  // the per-pick broadcast/return traffic.
+  SelectionIndex index(g.num_vertices());
   auto select = [&] {
     std::optional<support::metrics::ScopedPhase> scope;
     if (select_phase != nullptr) scope.emplace(*select_phase);
@@ -341,78 +332,29 @@ MultiGpuResult run_eim_multi(std::vector<gpusim::Device*> devices,
     support::trace::ScopedSpan phase_span(
         trace, span_pid, support::trace::SpanCategory::Phase, "select",
         span_dev->timeline().total_seconds());
-    const VertexId n = g.num_vertices();
 
-    // Merge shard mirrors through the owner/slot maps (id % D striping in
-    // the fault-free case, arbitrary after failover).
-    const std::uint64_t num_sets = sampled_global;
-    std::vector<std::uint32_t> lengths(num_sets);
-    std::vector<std::uint64_t> starts(num_sets + 1, 0);
-    for (std::uint64_t i = 0; i < num_sets; ++i) {
-      lengths[i] = shards[owner_of[i]]->set_length(slot_of[i]);
-      starts[i + 1] = starts[i] + lengths[i];
-    }
-    std::vector<VertexId> flat(starts[num_sets]);
-    for (std::uint64_t i = 0; i < num_sets; ++i) {
-      shards[owner_of[i]]->decode_set(
-          slot_of[i], std::span<VertexId>(flat.data() + starts[i], lengths[i]));
-    }
-
-    std::vector<std::uint32_t> counts(n, 0);
-    for (const std::uint32_t d : alive) {
-      for (VertexId v = 0; v < n; ++v) counts[v] += shards[d]->counts()[v];
-    }
-
-    // Inverted index for the exact greedy.
-    std::vector<std::uint64_t> index_offsets(static_cast<std::size_t>(n) + 1, 0);
-    for (const VertexId v : flat) ++index_offsets[v + 1];
-    for (VertexId v = 0; v < n; ++v) index_offsets[v + 1] += index_offsets[v];
-    std::vector<std::uint64_t> index_sets(flat.size());
-    {
-      std::vector<std::uint64_t> cursor(index_offsets.begin(), index_offsets.end() - 1);
-      for (std::uint64_t i = 0; i < num_sets; ++i) {
-        for (std::uint64_t p = starts[i]; p < starts[i + 1]; ++p) {
-          index_sets[cursor[flat[p]]++] = i;
-        }
-      }
-    }
-
-    const auto& spec = primary->spec();
-    const auto g_lat = static_cast<std::uint64_t>(spec.costs.global_latency);
-    const auto a_lat = static_cast<std::uint64_t>(spec.costs.atomic_global);
-    const std::uint64_t units = spec.max_resident_threads();
-
-    // Per-device running aggregates for the scan cost.
-    std::vector<std::uint64_t> shard_sets(num_devices, 0);
-    std::vector<std::uint64_t> shard_search(num_devices, 0);
-    for (std::uint64_t i = 0; i < num_sets; ++i) {
-      shard_sets[owner_of[i]]++;
-      shard_search[owner_of[i]] += binsearch_probes(lengths[i]) * g_lat;
-    }
-
-    std::vector<std::uint8_t> covered(num_sets, 0);
-    std::vector<std::uint8_t> chosen(n, 0);
-    imm::SelectionResult sel;
-    sel.seeds.reserve(effective.k);
+    // Append the sets sampled since the last call to the run's index,
+    // reading each global id from its shard through the owner/slot maps
+    // (id % D striping in the fault-free case, arbitrary after failover —
+    // regenerated sets are bit-identical, so a relayout never stales it).
+    index.append(
+        sampled_global,
+        [&](std::uint64_t i) { return shards[owner_of[i]]->set_length(slot_of[i]); },
+        [&](std::uint64_t i, std::span<VertexId> out) {
+          shards[owner_of[i]]->decode_set(slot_of[i], out);
+        },
+        /*parallel=*/true);
 
     // Per-pick modeled cost: devices scan their shards concurrently, then
     // the primary broadcasts the pick and gathers coverage deltas. Charged
     // once per pick — including degenerate tail picks, which still launch
     // the kernel and round-trip the (zero-gain) pick.
-    const auto charge_pick = [&](const std::vector<std::uint64_t>& shard_dec) {
-      double pick_seconds = 0.0;
-      for (const std::uint32_t d : alive) {
-        if (shard_sets[d] == 0) continue;
-        const std::uint64_t total =
-            shard_sets[d] * g_lat + shard_search[d] + shard_dec[d];
-        const std::uint64_t used =
-            std::max<std::uint64_t>(1, std::min(units, shard_sets[d]));
-        pick_seconds = std::max(
-            pick_seconds, spec.costs.kernel_launch_us * 1e-6 +
-                              spec.cycles_to_seconds(static_cast<double>(total / used)));
-      }
+    ShardScanCost scan(primary->spec(), index, owner_of, num_devices);
+    GreedyHooks hooks;
+    hooks.on_cover = std::bind_front(&ShardScanCost::cover, &scan);
+    hooks.on_pick = [&](std::uint32_t) {
       primary->timeline().add(gpusim::SegmentKind::Kernel, "eim::multi_update",
-                              pick_seconds);
+                              scan.pick_seconds(alive));
       const double before = primary->timeline().transfer_seconds();
       for (std::size_t j = 1; j < alive.size(); ++j) {
         primary->transfer_to_device("pick broadcast", sizeof(VertexId));
@@ -421,53 +363,8 @@ MultiGpuResult run_eim_multi(std::vector<gpusim::Device*> devices,
       }
       communication += primary->timeline().transfer_seconds() - before;
     };
-    const std::vector<std::uint64_t> no_decrements(num_devices, 0);
-
-    // CELF-style lazy arg-max over the merged counts; bit-identical to the
-    // linear reference scan (see lazy_greedy.hpp for the tie-break proof).
-    LazyArgMaxHeap heap{std::span<const std::uint32_t>(counts)};
-
-    for (std::uint32_t pick = 0; pick < effective.k; ++pick) {
-      VertexId best = graph::kInvalidVertex;
-      std::uint32_t best_count = 0;
-      if (!heap.pop_best(counts, chosen, best, best_count)) {
-        // Degenerate tail: every set is covered but picks remain. Charge
-        // the per-pick kernel + broadcast round for each filler so the
-        // modeled time reflects k rounds like the unsaturated path.
-        for (VertexId v = 0; v < n && sel.seeds.size() < effective.k; ++v) {
-          if (chosen[v] == 0) {
-            chosen[v] = 1;
-            sel.seeds.push_back(v);
-            charge_pick(no_decrements);
-          }
-        }
-        break;
-      }
-      chosen[best] = 1;
-      sel.seeds.push_back(best);
-
-      std::vector<std::uint64_t> shard_dec(num_devices, 0);
-      for (std::uint64_t idx = index_offsets[best]; idx < index_offsets[best + 1];
-           ++idx) {
-        const std::uint64_t set_id = index_sets[idx];
-        if (covered[set_id] != 0) continue;
-        covered[set_id] = 1;
-        ++sel.covered_sets;
-        const std::uint32_t len = lengths[set_id];
-        const std::uint32_t owner = owner_of[set_id];
-        shard_search[owner] -= binsearch_probes(len) * g_lat;
-        shard_dec[owner] += static_cast<std::uint64_t>(len) * (g_lat + a_lat);
-        for (std::uint64_t p = starts[set_id]; p < starts[set_id + 1]; ++p) {
-          --counts[flat[p]];
-        }
-      }
-
-      charge_pick(shard_dec);
-    }
-
-    sel.coverage_fraction = num_sets == 0 ? 0.0
-                                          : static_cast<double>(sel.covered_sets) /
-                                                static_cast<double>(num_sets);
+    imm::SelectionResult sel =
+        greedy_select(index, effective.k, ArgMaxMode::kLazyHeap, hooks);
     phase_span.end(span_dev->timeline().total_seconds());
     return sel;
   };

@@ -1,18 +1,18 @@
 #include "eim/eim/multi_node.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
 
 #include "eim/eim/checkpoint.hpp"
-#include "eim/eim/lazy_greedy.hpp"
 #include "eim/eim/rrr_collection.hpp"
 #include "eim/eim/sampler.hpp"
+#include "eim/eim/selection_index.hpp"
 #include "eim/encoding/packed_csc.hpp"
 #include "eim/gpusim/timeline_trace.hpp"
 #include "eim/imm/driver.hpp"
-#include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
 #include "eim/support/trace.hpp"
@@ -20,16 +20,6 @@
 namespace eim::eim_impl {
 
 using graph::VertexId;
-
-namespace {
-
-/// Scalar binary-search cost in global reads (same formula as the
-/// single-device selector).
-std::uint64_t binsearch_probes(std::uint32_t len) {
-  return 1 + support::ceil_log2(std::max<std::uint32_t>(2, len));
-}
-
-}  // namespace
 
 MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
                                 graph::DiffusionModel model,
@@ -483,9 +473,11 @@ MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
     phase_span.end(span_dev->timeline().total_seconds());
   };
 
-  // Selection: exact greedy on the merged host mirror; modeled cost is the
-  // max over devices' shard scans (they run concurrently) plus one small
-  // pick-exchange allreduce per pick (chosen vertex + coverage delta).
+  // Selection: exact greedy on the run's append-only host index; modeled
+  // cost is the max over devices' shard scans (they run concurrently) plus
+  // one small pick-exchange allreduce per pick (chosen vertex + coverage
+  // delta).
+  SelectionIndex index(g.num_vertices());
   auto select_once = [&] {
     std::optional<support::metrics::ScopedPhase> scope;
     if (select_phase != nullptr) scope.emplace(*select_phase);
@@ -495,141 +487,51 @@ MultiNodeResult run_eim_cluster(gpusim::Cluster& cluster, const graph::Graph& g,
     support::trace::ScopedSpan phase_span(
         trace, span_pid, support::trace::SpanCategory::Phase, "select",
         span_dev->timeline().total_seconds());
-    const VertexId n = g.num_vertices();
 
-    // Merge shard mirrors through the owner/slot maps.
-    const std::uint64_t num_sets = sampled_global;
-    std::vector<std::uint32_t> lengths(num_sets);
-    std::vector<std::uint64_t> starts(num_sets + 1, 0);
-    for (std::uint64_t i = 0; i < num_sets; ++i) {
-      lengths[i] = shards[owner_of[i]]->set_length(slot_of[i]);
-      starts[i + 1] = starts[i] + lengths[i];
-    }
-    std::vector<VertexId> flat(starts[num_sets]);
-    for (std::uint64_t i = 0; i < num_sets; ++i) {
-      shards[owner_of[i]]->decode_set(
-          slot_of[i], std::span<VertexId>(flat.data() + starts[i], lengths[i]));
-    }
-
-    std::vector<std::uint32_t> counts(n, 0);
-    for (const std::uint32_t nd : alive) {
-      for (std::uint32_t d = 0; d < devices_per_node; ++d) {
-        const std::uint32_t f = nd * devices_per_node + d;
-        for (VertexId v = 0; v < n; ++v) counts[v] += shards[f]->counts()[v];
-      }
-    }
-
-    // Inverted index for the exact greedy.
-    std::vector<std::uint64_t> index_offsets(static_cast<std::size_t>(n) + 1, 0);
-    for (const VertexId v : flat) ++index_offsets[v + 1];
-    for (VertexId v = 0; v < n; ++v) index_offsets[v + 1] += index_offsets[v];
-    std::vector<std::uint64_t> index_sets(flat.size());
-    {
-      std::vector<std::uint64_t> cursor(index_offsets.begin(), index_offsets.end() - 1);
-      for (std::uint64_t i = 0; i < num_sets; ++i) {
-        for (std::uint64_t p = starts[i]; p < starts[i + 1]; ++p) {
-          index_sets[cursor[flat[p]]++] = i;
-        }
-      }
-    }
-
-    const auto& spec = primary->spec();
-    const auto g_lat = static_cast<std::uint64_t>(spec.costs.global_latency);
-    const auto a_lat = static_cast<std::uint64_t>(spec.costs.atomic_global);
-    const std::uint64_t units = spec.max_resident_threads();
-
-    std::vector<std::uint64_t> shard_sets(num_flat, 0);
-    std::vector<std::uint64_t> shard_search(num_flat, 0);
-    for (std::uint64_t i = 0; i < num_sets; ++i) {
-      shard_sets[owner_of[i]]++;
-      shard_search[owner_of[i]] += binsearch_probes(lengths[i]) * g_lat;
-    }
-
-    std::vector<std::uint8_t> covered(num_sets, 0);
-    std::vector<std::uint8_t> chosen(n, 0);
-    imm::SelectionResult sel;
-    sel.seeds.reserve(effective.k);
+    // Append the sets sampled since the last pass to the run's index
+    // through the owner/slot maps. A restarted pass finds nothing new:
+    // regenerated sets are bit-identical, so a reshard never stales it.
+    index.append(
+        sampled_global,
+        [&](std::uint64_t i) { return shards[owner_of[i]]->set_length(slot_of[i]); },
+        [&](std::uint64_t i, std::span<VertexId> out) {
+          shards[owner_of[i]]->decode_set(slot_of[i], out);
+        },
+        /*parallel=*/true);
 
     // Per-pick modeled cost: every alive device scans its shard
     // concurrently (the slowest governs), then the alive nodes exchange the
     // pick + coverage delta in one 12-byte allreduce. A node lost inside
     // that collective aborts this whole selection pass; the caller reshards
-    // and restarts it — the merged mirror is rebuilt from regenerated,
-    // bit-identical sets, so the restart picks the same seeds.
-    const auto charge_pick = [&](const std::vector<std::uint64_t>& shard_dec) {
-      double pick_seconds = 0.0;
-      for (const std::uint32_t nd : alive) {
-        for (std::uint32_t d = 0; d < devices_per_node; ++d) {
-          const std::uint32_t f = nd * devices_per_node + d;
-          if (shard_sets[f] == 0) continue;
-          const std::uint64_t total =
-              shard_sets[f] * g_lat + shard_search[f] + shard_dec[f];
-          const std::uint64_t used =
-              std::max<std::uint64_t>(1, std::min(units, shard_sets[f]));
-          pick_seconds = std::max(
-              pick_seconds, spec.costs.kernel_launch_us * 1e-6 +
-                                spec.cycles_to_seconds(static_cast<double>(total / used)));
-        }
+    // and restarts it over the same index, so the restart picks the same
+    // seeds.
+    std::vector<std::uint32_t> live;
+    for (const std::uint32_t nd : alive) {
+      for (std::uint32_t d = 0; d < devices_per_node; ++d) {
+        live.push_back(nd * devices_per_node + d);
       }
+    }
+    ShardScanCost scan(primary->spec(), index, owner_of, num_flat);
+    GreedyHooks hooks;
+    hooks.on_cover = std::bind_front(&ShardScanCost::cover, &scan);
+    hooks.on_pick = [&](std::uint32_t) {
       primary->timeline().add(gpusim::SegmentKind::Kernel, "eim::multi_update",
-                              pick_seconds);
+                              scan.pick_seconds(live));
       run_collective("pick exchange", [&] {
         return cluster.allreduce("pick exchange",
                                  sizeof(VertexId) + sizeof(std::uint64_t), alive);
       });
       if (metrics != nullptr) metrics->counter("cluster.pick_exchanges").add();
     };
-    const std::vector<std::uint64_t> no_decrements(num_flat, 0);
-
-    LazyArgMaxHeap heap{std::span<const std::uint32_t>(counts)};
-
-    for (std::uint32_t pick = 0; pick < effective.k; ++pick) {
-      VertexId best = graph::kInvalidVertex;
-      std::uint32_t best_count = 0;
-      if (!heap.pop_best(counts, chosen, best, best_count)) {
-        // Degenerate tail: every set is covered but picks remain; each
-        // filler still charges a pick round like the unsaturated path.
-        for (VertexId v = 0; v < n && sel.seeds.size() < effective.k; ++v) {
-          if (chosen[v] == 0) {
-            chosen[v] = 1;
-            sel.seeds.push_back(v);
-            charge_pick(no_decrements);
-          }
-        }
-        break;
-      }
-      chosen[best] = 1;
-      sel.seeds.push_back(best);
-
-      std::vector<std::uint64_t> shard_dec(num_flat, 0);
-      for (std::uint64_t idx = index_offsets[best]; idx < index_offsets[best + 1];
-           ++idx) {
-        const std::uint64_t set_id = index_sets[idx];
-        if (covered[set_id] != 0) continue;
-        covered[set_id] = 1;
-        ++sel.covered_sets;
-        const std::uint32_t len = lengths[set_id];
-        const std::uint32_t owner = owner_of[set_id];
-        shard_search[owner] -= binsearch_probes(len) * g_lat;
-        shard_dec[owner] += static_cast<std::uint64_t>(len) * (g_lat + a_lat);
-        for (std::uint64_t p = starts[set_id]; p < starts[set_id + 1]; ++p) {
-          --counts[flat[p]];
-        }
-      }
-
-      charge_pick(shard_dec);
-    }
-
-    sel.coverage_fraction = num_sets == 0 ? 0.0
-                                          : static_cast<double>(sel.covered_sets) /
-                                                static_cast<double>(num_sets);
+    imm::SelectionResult sel =
+        greedy_select(index, effective.k, ArgMaxMode::kLazyHeap, hooks);
     phase_span.end(span_dev->timeline().total_seconds());
     return sel;
   };
 
   // Selection with failover: a node death anywhere inside a selection pass
   // reshards + regenerates, then restarts the pass from scratch. The
-  // restart is deterministic (identical merged mirror), so the only effect
+  // restart is deterministic (same index, same seeds), so the only effect
   // is modeled recovery time.
   auto select = [&] {
     for (;;) {

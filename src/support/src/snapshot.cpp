@@ -110,8 +110,11 @@ SnapshotReader::SnapshotReader(std::string bytes) : bytes_(std::move(bytes)) {
     std::size_t length;
     std::uint32_t crc;
   };
+  // `count` is not CRC-checked yet: cap the reservation at what the rest of
+  // the file could hold (an entry is at least 16 bytes: name length, payload
+  // length, checksum), so a flipped byte cannot size a huge allocation.
   std::vector<Pending> pending;
-  pending.reserve(count);
+  pending.reserve(std::min<std::size_t>(count, (bytes_.size() - cur.pos()) / 16));
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t name_len = cur.u32("section name length");
     const std::string_view name = cur.take(name_len, "section name");

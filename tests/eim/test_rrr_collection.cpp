@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "eim/eim/selection_index.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
 
@@ -59,10 +60,13 @@ TEST(DeviceRrrCollection, CountsTrackCommits) {
   (void)col.try_commit(0, std::vector<VertexId>{1, 2});
   (void)col.try_commit(1, std::vector<VertexId>{2, 3});
   (void)col.try_commit(2, std::vector<VertexId>{2});
-  EXPECT_EQ(col.counts()[1], 1u);
-  EXPECT_EQ(col.counts()[2], 3u);
-  EXPECT_EQ(col.counts()[3], 1u);
-  EXPECT_EQ(col.counts()[0], 0u);
+  col.set_num_sets(3);
+  SelectionIndex index;
+  (void)index.sync(col);
+  EXPECT_EQ(index.counts()[1], 1u);
+  EXPECT_EQ(index.counts()[2], 3u);
+  EXPECT_EQ(index.counts()[3], 1u);
+  EXPECT_EQ(index.counts()[0], 0u);
 }
 
 TEST(DeviceRrrCollection, CommitFailsWhenFull) {
@@ -73,7 +77,10 @@ TEST(DeviceRrrCollection, CommitFailsWhenFull) {
   EXPECT_FALSE(col.try_commit(1, std::vector<VertexId>{3, 4}));
   // Rollback: failed commit leaves no trace.
   EXPECT_EQ(col.total_elements(), 2u);
-  EXPECT_EQ(col.counts()[3], 0u);
+  col.set_num_sets(1);
+  SelectionIndex index;
+  (void)index.sync(col);
+  EXPECT_EQ(index.counts()[3], 0u);
   // Growth fixes it.
   col.reserve(2, 8);
   EXPECT_TRUE(col.try_commit(1, std::vector<VertexId>{3, 4}));

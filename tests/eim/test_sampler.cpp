@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "eim/eim/selection_index.hpp"
 #include "eim/graph/generators.hpp"
 #include "eim/imm/imm.hpp"
 #include "eim/imm/rrr_store.hpp"
@@ -99,8 +100,10 @@ TEST_P(SamplerParity, MatchesSerialReferenceExactly) {
     }
   }
   // Counts must agree too.
+  SelectionIndex index;
+  (void)index.sync(col);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(col.counts()[v], store.count(v));
+    EXPECT_EQ(index.counts()[v], store.count(v));
   }
 }
 

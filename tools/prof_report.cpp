@@ -93,7 +93,8 @@ std::vector<Bucket> make_buckets() {
         "launch_blocks", "try_commit", "wave_body"},
        0},
       {"selector",
-       {"SeedSelector", "GpuSeedSelector", "LazyArgMax", "build_inverted_index",
+       {"SeedSelector", "GpuSeedSelector", "SelectionIndex", "greedy_select",
+        "ShardScanCost", "LazyArgMax", "build_inverted_index",
         "select_seeds", "seed_selection", "pop_best"},
        0},
       {"pool",
