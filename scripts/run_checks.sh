@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge gate: build everything under AddressSanitizer + UBSan and run
 # the default test suite plus the stress-, checkpoint-, cluster-, spill-,
-# drawmode- and selector-labeled tests (see README.md), exercise CLI-level
-# checkpoint/resume including corrupt-snapshot rejection, a --draw-mode
+# drawmode-, selector- and sweep-labeled tests (see README.md), exercise
+# CLI-level checkpoint/resume including corrupt-snapshot rejection, a --draw-mode
 # skip round-trip with mode-mismatch rejection, a node-kill cluster
 # failover smoke, and a quarter-budget spill smoke that must reproduce the
 # unconstrained seeds bit-identically, then
@@ -61,6 +61,9 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L drawmode
 
 echo "== selector-labeled tests (append-only selection index vs fresh rebuild) =="
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L selector
+
+echo "== sweep-labeled tests (exact IC edge sweep: AVX-512 vs scalar parity) =="
+ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L sweep
 
 echo "== CLI checkpoint/resume round-trip + corrupt-snapshot rejection =="
 ckpt_tmp="$(mktemp -d)"

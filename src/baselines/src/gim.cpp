@@ -11,6 +11,7 @@
 #include "eim/imm/imm.hpp"
 #include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
+#include "eim/support/ic_sweep.hpp"
 #include "eim/support/rng.hpp"
 
 namespace eim::baselines {
@@ -212,16 +213,10 @@ class GimSampler {
   void bfs_ic(BlockContext& ctx, BlockScratch& scratch, RandomStream& rng) {
     const graph::Graph& g = *graph_;
     const std::uint32_t warp = ctx.warp_size();
-    // Hoisted: queue.push_back writes through a uint32 pointer, so keeping
-    // stamp/epoch as locals spares a per-edge member reload in this hot loop.
-    std::uint32_t* const stamp = scratch.stamp.data();
-    const std::uint32_t epoch = scratch.epoch;
-    // Bulk-filled draw buffer, same consumption order as a next_float()
-    // per unvisited neighbor (see EimSampler::bfs_ic).
+    // Bulk-filled draw buffer and demand-sized refills, exactly as in
+    // EimSampler::bfs_ic; the shared sweep keeps the draw order.
     support::FloatDrawBuffer& draws = scratch.draws;
     auto c = draws.begin_sample(rng);
-    // Frontier draw demand: in-degree sum of queued-but-unswept vertices
-    // (see EimSampler::bfs_ic) — refills are sized to it.
     std::size_t pending = g.in().neighbors(scratch.queue.front()).size();
     for (std::size_t head = 0; head < scratch.queue.size(); ++head) {
       const VertexId u = scratch.queue[head];
@@ -231,25 +226,15 @@ class GimSampler {
         ctx.charge_shared(1);
       }
       const auto ins = g.in().neighbors(u);
-      const auto ws = g.in_weights(u);
       ctx.charge_global(3 * warp_chunks(ins.size(), warp));
       ctx.charge_alu(warp_chunks(ins.size(), warp));
       c = draws.ensure(c, rng, ins.size(), pending);
-      std::size_t t = 0;
-      for (std::size_t j = 0; j < ins.size(); ++j) {
-        const VertexId v = ins[j];
-        if (stamp[v] == epoch) continue;
-        // Strict <, matching the eIM sampler: zero-weight edges never
-        // activate.
-        if (c.p[t++] < ws[j]) {
-          stamp[v] = epoch;
-          scratch.queue.push_back(v);
-          pending += g.in().neighbors(v).size();
-          charge_enqueue(ctx, scratch, scratch.queue.size());
-        }
-      }
-      c.p += t;
-      c.avail -= t;
+      support::ic_sweep(ins, g.in_weights(u), scratch.stamp, scratch.epoch, c,
+                        [&](VertexId v) {
+                          scratch.queue.push_back(v);
+                          pending += g.in().neighbors(v).size();
+                          charge_enqueue(ctx, scratch, scratch.queue.size());
+                        });
       pending -= ins.size();
     }
     draws.finish_sample(rng, c);

@@ -6,6 +6,10 @@
 // s. The GPU-simulator kernels in eim/eim and eim/baselines must agree with
 // these in distribution — that equivalence is property-tested.
 //
+// The IC sampler's per-edge loop is support::ic_sweep, the same sweep the
+// eIM and gIM kernels call, so their draw-for-draw parity holds by
+// construction rather than by three hand-kept copies.
+//
 // Conventions shared with the kernels:
 //  * the returned set is sorted ascending by vertex id (§3.2's ordering that
 //    enables binary search during seed selection);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "eim/support/error.hpp"
+#include "eim/support/ic_sweep.hpp"
 
 namespace eim::diffusion {
 
@@ -50,12 +51,6 @@ void RrrSampler::sample_ic(VertexId source, RandomStream& rng,
   out.push_back(source);
   stamp_[source] = epoch_;
 
-  // Hoisted out of the loop: `out.push_back` writes through a uint32
-  // pointer, so without the locals the compiler must reload the stamp
-  // base/epoch members on every edge (this loop is the profile's top bucket).
-  std::uint32_t* const stamp = stamp_.data();
-  const std::uint32_t epoch = epoch_;
-
   // Activation draws come from a bulk-filled buffer, one per unvisited
   // neighbor in stream order — the same sequence as a next_float() call per
   // edge. finish_sample rewinds `rng` to the draws actually consumed, so a
@@ -70,25 +65,12 @@ void RrrSampler::sample_ic(VertexId source, RandomStream& rng,
 
   // Queue-as-set BFS, mirroring Algorithm 2's "the queue is the RRR set".
   for (std::size_t head = 0; head < out.size(); ++head) {
-    const VertexId u = out[head];
-    const auto ins = g.in().neighbors(u);
-    const auto ws = g.in_weights(u);
+    const auto ins = g.in().neighbors(out[head]);
     c = draws_.ensure(c, rng, ins.size(), pending);
-    std::size_t t = 0;
-    for (std::size_t j = 0; j < ins.size(); ++j) {
-      const VertexId v = ins[j];
-      if (stamp[v] == epoch) continue;
-      // Strict <: next_float() lands exactly on a representable weight with
-      // probability 2^-24 per draw, and `<=` let a weight-0.0 edge activate
-      // on a zero draw. P(draw < w) = w exactly for the 2^-24-grid draws.
-      if (c.p[t++] < ws[j]) {
-        stamp[v] = epoch;
-        out.push_back(v);
-        pending += g.in().neighbors(v).size();
-      }
-    }
-    c.p += t;
-    c.avail -= t;
+    support::ic_sweep(ins, g.in_weights(out[head]), stamp_, epoch_, c, [&](VertexId v) {
+      out.push_back(v);
+      pending += g.in().neighbors(v).size();
+    });
     pending -= ins.size();
   }
   draws_.finish_sample(rng, c);

@@ -11,7 +11,8 @@
 //
 // Determinism contract: sample i draws from the stream
 // (rng_seed, derive_stream(imm::kSampleStreamTag, i, attempt)) and consumes
-// randomness in CSC order — the exact contract of the serial reference — so
+// randomness in CSC order — the exact contract of the serial reference, and
+// in IC literally the same edge loop (support::ic_sweep) — so
 // eIM produces the *identical* collection R as run_imm_serial for identical
 // parameters, which the integration tests assert.
 #pragma once
@@ -107,6 +108,11 @@ class EimSampler {
   std::uint32_t generate(gpusim::BlockContext& ctx, BlockScratch& scratch,
                          std::uint64_t sample_index);
 
+  /// Exact IC reverse BFS (Alg. 2 l.11-20). Each frontier vertex's
+  /// in-edge slice goes through support::ic_sweep — the edge loop shared
+  /// with the serial reference and the gIM baseline, AVX-512 where the host
+  /// has it — while this body keeps the per-vertex and per-activation cost
+  /// charges.
   void bfs_ic(gpusim::BlockContext& ctx, BlockScratch& scratch,
               graph::VertexId source, support::RandomStream& rng);
   void walk_lt(gpusim::BlockContext& ctx, BlockScratch& scratch,

@@ -8,6 +8,7 @@
 #include "eim/imm/imm.hpp"
 #include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
+#include "eim/support/ic_sweep.hpp"
 #include "eim/support/metrics.hpp"
 #include "eim/support/profiler.hpp"
 #include "eim/support/retry.hpp"
@@ -351,18 +352,10 @@ void EimSampler::bfs_ic(BlockContext& ctx, BlockScratch& scratch, VertexId sourc
                         RandomStream& rng) {
   const graph::Graph& g = *graph_;
   const std::uint32_t warp = ctx.warp_size();
-  // Hoisted: queue.push_back writes through a uint32 pointer, so keeping
-  // stamp/epoch as locals spares a per-edge member reload (hot loop). The
-  // stamp base is stable here — only the epoch-wrap path resizes it, and
-  // that ran before the BFS started.
-  std::uint32_t* const stamp = scratch.stamp.data();
-  const std::uint32_t epoch = scratch.epoch;
 
   // Per-level draw buffer: activation draws are generated in bulk
-  // (fill_floats) ahead of each edge sweep, so the per-edge work is a flat
-  // scan of precomputed draws against weights instead of a Philox call per
-  // edge. One draw is consumed per *unvisited* neighbor, in stream order —
-  // the exact consumption contract of the serial reference — and
+  // (fill_floats) ahead of each edge sweep, so the sweep compares
+  // precomputed draws against weights instead of calling Philox per edge.
   // finish_sample rewinds the stream to what was actually taken.
   support::FloatDrawBuffer& draws = scratch.draws;
   auto c = draws.begin_sample(rng);
@@ -379,30 +372,19 @@ void EimSampler::bfs_ic(BlockContext& ctx, BlockScratch& scratch, VertexId sourc
     ctx.charge_global(1);  // read Q front
 
     const auto ins = g.in().neighbors(u);
-    const auto ws = g.in_weights(u);
     // Lanes sweep the in-edge list in warp-sized chunks: neighbor ids,
     // weights, and M lookups are each one coalesced transaction per chunk.
     ctx.charge_global(3 * warp_chunks(ins.size(), warp));
     ctx.charge_alu(warp_chunks(ins.size(), warp));  // rng + compare per lane
 
     c = draws.ensure(c, rng, ins.size(), pending);
-    std::size_t t = 0;
-    for (std::size_t j = 0; j < ins.size(); ++j) {
-      const VertexId v = ins[j];
-      const bool visited = stamp[v] == epoch;
-      if (visited) continue;
-      // Strict < (not <=): a zero-weight edge must never activate, and the
-      // serial reference uses the same comparison for bit-parity.
-      if (c.p[t++] < ws[j]) {
-        stamp[v] = epoch;  // mark BEFORE enqueue (Alg. 2 l.18)
-        scratch.queue.push_back(v);
-        pending += g.in().neighbors(v).size();
-        ctx.charge_global(1);         // M store + Q store (write-combined)
-        ctx.charge_atomic_global(1);  // atomicAdd on q_tail (Alg. 2 l.20)
-      }
-    }
-    c.p += t;
-    c.avail -= t;
+    support::ic_sweep(ins, g.in_weights(u), scratch.stamp, scratch.epoch, c,
+                      [&](VertexId v) {
+                        scratch.queue.push_back(v);
+                        pending += g.in().neighbors(v).size();
+                        ctx.charge_global(1);         // M store + Q store (write-combined)
+                        ctx.charge_atomic_global(1);  // atomicAdd on q_tail (Alg. 2 l.20)
+                      });
     pending -= ins.size();
   }
   draws.finish_sample(rng, c);

@@ -142,10 +142,20 @@ HuffmanBlock huffman_encode(std::span<const std::uint32_t> values) {
 }
 
 std::vector<std::uint32_t> huffman_decode(const HuffmanBlock& block) {
+  // Every code is at least one bit long, so a symbol count beyond the
+  // payload's bit length is corrupt: reject it before it sizes `out`.
+  if (block.num_symbols > static_cast<std::uint64_t>(block.bits.size()) * 8) {
+    throw support::IoError("huffman block: symbol count exceeds payload bits");
+  }
   std::vector<std::uint32_t> out;
   out.reserve(block.num_symbols);
   if (block.num_symbols == 0) return out;
   EIM_CHECK_MSG(!block.symbols.empty(), "huffman block missing code table");
+  // The per-length tables are sized by the last (longest) length.
+  if (block.lengths.size() != block.symbols.size() ||
+      !std::is_sorted(block.lengths.begin(), block.lengths.end())) {
+    throw support::IoError("huffman block: corrupt code table");
+  }
 
   // Canonical decode tables: for each length, the first code and the index
   // of its first symbol.

@@ -1,5 +1,7 @@
 #include "eim/encoding/rrr_codec.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "eim/encoding/huffman.hpp"
@@ -90,8 +92,10 @@ std::vector<std::uint8_t> serialize_huffman(const HuffmanBlock& block) {
 HuffmanBlock deserialize_huffman(Cursor& cur) {
   HuffmanBlock block;
   const std::uint32_t num_codes = cur.u32();
-  block.symbols.reserve(num_codes);
-  block.lengths.reserve(num_codes);
+  // Each table entry takes 5 bytes, so the payload bounds the reservation.
+  const std::size_t fits = std::min<std::size_t>(num_codes, cur.remaining() / 5);
+  block.symbols.reserve(fits);
+  block.lengths.reserve(fits);
   for (std::uint32_t i = 0; i < num_codes; ++i) {
     block.symbols.push_back(cur.u32());
     block.lengths.push_back(cur.u8());
@@ -174,6 +178,7 @@ DecodedRrrBlock rrr_block_decode(std::span<const std::uint8_t> bytes) {
   block.lengths.reserve(num_sets);
   std::uint64_t total = 0;
   for (const std::uint64_t len : lens) {
+    if (len > UINT32_MAX) throw support::IoError("rrr block: set length out of range");
     block.lengths.push_back(static_cast<std::uint32_t>(len));
     total += len;
   }
@@ -189,7 +194,11 @@ DecodedRrrBlock rrr_block_decode(std::span<const std::uint8_t> bytes) {
     for (const std::uint64_t d : wide) deltas.push_back(static_cast<std::uint32_t>(d));
   } else if (codec == kRrrBlockCodecHuffman) {
     Cursor cur(section);
-    deltas = huffman_decode(deserialize_huffman(cur));
+    const HuffmanBlock huffman = deserialize_huffman(cur);
+    if (huffman.num_symbols != num_values) {
+      throw support::IoError("rrr block: huffman symbol count does not match header");
+    }
+    deltas = huffman_decode(huffman);
   } else {
     throw support::IoError("rrr block: unknown codec id");
   }

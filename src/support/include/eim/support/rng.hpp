@@ -257,7 +257,7 @@ inline constexpr std::uint64_t kGeometricNever = ~std::uint64_t{0};
 /// Usage per sample:
 ///   auto c = buf.begin_sample(rng);
 ///   ... per frontier vertex: c = buf.ensure(c, rng, degree, pending);
-///       ... c.p[t++] ... then c.p += t; c.avail -= t;
+///       ic_sweep(..., c, on_activate);  // advances c (ic_sweep.hpp)
 ///   buf.finish_sample(rng, c);  // rewinds rng to exactly what was consumed
 ///
 /// finish_sample repositions the stream at the draws actually taken, so

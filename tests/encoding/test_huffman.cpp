@@ -77,6 +77,23 @@ TEST(Huffman, CanonicalLengthsAreSorted) {
   EXPECT_TRUE(std::is_sorted(block.lengths.begin(), block.lengths.end()));
 }
 
+TEST(Huffman, SymbolCountBeyondPayloadBitsThrows) {
+  HuffmanBlock block = huffman_encode(std::vector<std::uint32_t>{1, 2, 2, 3});
+  block.num_symbols = std::uint64_t{1} << 62;
+  EXPECT_THROW((void)huffman_decode(block), support::IoError);
+}
+
+TEST(Huffman, UnsortedCodeLengthsThrow) {
+  // The decode tables are sized by the last length; a longer one earlier
+  // in a corrupt table must be rejected, not indexed past them.
+  std::vector<std::uint32_t> values;  // frequencies 1, 2, 4, 8, 16
+  for (std::uint32_t sym = 0; sym < 5; ++sym) values.insert(values.end(), 1u << sym, sym);
+  HuffmanBlock block = huffman_encode(values);
+  ASSERT_GE(block.lengths.back(), block.lengths.front() + 2);
+  std::swap(block.lengths.front(), block.lengths.back());
+  EXPECT_THROW((void)huffman_decode(block), support::IoError);
+}
+
 class HuffmanFuzz : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(HuffmanFuzz, RandomAlphabetsRoundTrip) {

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <vector>
 
+#include "eim/support/crc32.hpp"
 #include "eim/support/error.hpp"
 
 namespace eim::encoding {
@@ -111,6 +113,51 @@ TEST(RrrCodec, BadMagicThrows) {
       rrr_block_encode(std::vector<std::uint32_t>{1}, std::vector<std::uint32_t>{9});
   frame[0] = 'X';
   EXPECT_THROW((void)rrr_block_decode(frame), IoError);
+}
+
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/// A Huffman-codec frame for one set of one value whose CRC matches its
+/// (forged) payload, so only the size checks stand between the decoder and
+/// the claimed counts.
+std::vector<std::uint8_t> forged_huffman_frame(std::uint32_t num_codes,
+                                               std::uint64_t num_symbols) {
+  std::vector<std::uint8_t> payload = {1};  // lengths section: varint 1
+  put_le(payload, num_codes, 4);
+  put_le(payload, 0, 4);  // one real entry: symbol 0, 1-bit code
+  payload.push_back(1);
+  put_le(payload, num_symbols, 8);
+  put_le(payload, 1, 8);  // one payload byte
+  payload.push_back(0);
+
+  std::vector<std::uint8_t> frame(kRrrBlockMagic.begin(), kRrrBlockMagic.end());
+  frame.push_back(kRrrBlockCodecHuffman);
+  put_le(frame, 1, 8);  // num_sets
+  put_le(frame, 1, 8);  // num_values
+  put_le(frame, 1, 8);  // lengths_bytes
+  put_le(frame, payload.size(), 8);
+  put_le(frame, support::crc32c(payload), 4);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+TEST(RrrCodec, ForgedHuffmanFrameDecodes) {
+  // The forging helper itself is sound: honest counts round-trip.
+  const DecodedRrrBlock block = rrr_block_decode(forged_huffman_frame(1, 1));
+  EXPECT_EQ(block.lengths, (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(block.values, (std::vector<std::uint32_t>{0}));
+}
+
+TEST(RrrCodec, ClaimedHuffmanCodeCountCannotSizeAnAllocation) {
+  // 2^32-1 table entries would reserve ~20 GB; the payload holds one.
+  EXPECT_THROW((void)rrr_block_decode(forged_huffman_frame(0xFFFFFFFFu, 1)), IoError);
+}
+
+TEST(RrrCodec, ClaimedHuffmanSymbolCountCannotSizeAnAllocation) {
+  EXPECT_THROW((void)rrr_block_decode(forged_huffman_frame(1, std::uint64_t{1} << 62)),
+               IoError);
 }
 
 }  // namespace

@@ -9,16 +9,19 @@
 //   eim_cli ... --profile-out - | prof_report -
 //
 // Each sample (one folded line, weighted by its count) is attributed to the
-// first frame, scanning leaf to root, that matches a known hot-path bucket:
+// first frame, scanning leaf to root, whose function name (the demangled
+// symbol before its parameter list) matches a known hot-path bucket:
 //
-//   sampler   Monte Carlo RRR generation (EimSampler/RrrSampler BFS + walk)
+//   sampler   Monte Carlo RRR generation (EimSampler/RrrSampler BFS + walk,
+//             the shared ic_sweep edge kernel)
 //   rng.skip  fast-draw arithmetic: geometric skip-ahead draws and
 //             alias-table picks (--draw-mode skip)
 //   rng.gen   Philox block generation and bulk refills
 //   rng       remaining draw plumbing (RandomStream scalar draws, the draw
 //             buffer bookkeeping) — also where every rng-ish symbol from a
-//             profile predating the rng.gen/rng.skip split still lands, so
-//             old folded files keep parsing with the same total rng share
+//             profile predating the rng.gen/rng.skip split still lands.
+//             A frame that only *takes* a RandomStream or draw buffer (the
+//             BFS bodies) is not rng: parameter types are never matched.
 //   spill     memory-pressure tiers: TieredRrrStore evict/fetch, the
 //             rrr_block codec frames it drives, atomic disk I/O + retries
 //   codec     bit-packed encode/decode (PackedCsc, BitPackedArray, ...)
@@ -88,9 +91,9 @@ std::vector<Bucket> make_buckets() {
         "store_release_range", "encode", "BitmapSet", "Huffman", "varint"},
        0},
       {"sampler",
-       {"EimSampler", "RrrSampler", "bfs_ic", "walk_lt", "sample_ic", "sample_lt",
-        "sample_into", "sample_rrr", "sample_assigned", "sample_to", "generate",
-        "launch_blocks", "try_commit", "wave_body"},
+       {"EimSampler", "RrrSampler", "ic_sweep", "bfs_ic", "walk_lt", "sample_ic",
+        "sample_lt", "sample_into", "sample_rrr", "sample_assigned", "sample_to",
+        "generate", "launch_blocks", "try_commit", "wave_body"},
        0},
       {"selector",
        {"SeedSelector", "GpuSeedSelector", "SelectionIndex", "greedy_select",
@@ -102,6 +105,19 @@ std::vector<Bucket> make_buckets() {
         "MoveOnlyTask", "drain"},
        0},
   };
+}
+
+/// The part of a demangled frame that names the function: everything
+/// before its parameter list. Patterns never match parameter types —
+/// `bfs_ic(..., RandomStream&)` is traversal, not draw plumbing.
+std::string_view frame_name(std::string_view frame) {
+  constexpr std::string_view kAnon = "(anonymous namespace)";
+  std::size_t pos = 0;
+  while ((pos = frame.find('(', pos)) != std::string_view::npos) {
+    if (frame.substr(pos, kAnon.size()) != kAnon) return frame.substr(0, pos);
+    pos += kAnon.size();
+  }
+  return frame;
 }
 
 bool frame_is_symbol(std::string_view frame) {
@@ -134,9 +150,10 @@ struct Report {
     for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
       if (frame_is_symbol(*it)) any_symbol = true;
       if (hit == nullptr) {
+        const std::string_view name = frame_name(*it);
         for (Bucket& b : buckets) {
           for (const std::string_view pat : b.patterns) {
-            if (it->find(pat) != std::string_view::npos) {
+            if (name.find(pat) != std::string_view::npos) {
               hit = &b;
               break;
             }
