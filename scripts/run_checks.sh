@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Pre-merge gate: build everything under AddressSanitizer + UBSan and run
 # the default test suite plus the stress-, checkpoint-, cluster-, spill-,
-# drawmode-, selector- and sweep-labeled tests (see README.md), exercise
-# CLI-level checkpoint/resume including corrupt-snapshot rejection, a --draw-mode
+# drawmode-, selector-, sweep- and codec-labeled tests (see README.md),
+# exercise CLI-level checkpoint/resume including corrupt-snapshot rejection
+# (a payload flip, a truncation and a flipped section count), a --draw-mode
 # skip round-trip with mode-mismatch rejection, a node-kill cluster
 # failover smoke, and a quarter-budget spill smoke that must reproduce the
 # unconstrained seeds bit-identically, then
@@ -65,6 +66,9 @@ ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L selector
 echo "== sweep-labeled tests (exact IC edge sweep: AVX-512 vs scalar parity) =="
 ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L sweep
 
+echo "== codec-labeled tests (spill-block golden frames: pinned size + CRC, smaller section wins) =="
+ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L codec
+
 echo "== CLI checkpoint/resume round-trip + corrupt-snapshot rejection =="
 ckpt_tmp="$(mktemp -d)"
 cli="${build_dir}/tools/eim_cli"
@@ -99,6 +103,22 @@ status=0
 "${cli}" "${cli_args[@]}" --resume "${ckpt_tmp}/ck2" > /dev/null 2>&1 || status=$?
 if [[ "${status}" -ne 3 ]]; then
   echo "ERROR: truncated snapshot: expected exit 3, got ${status}" >&2; exit 1
+fi
+# Byte 15 is the top byte of the header's u32 section count, read before any
+# CRC: the reader must bound it by the bytes that follow and refuse with
+# exit 3, never size an allocation from it (bad_alloc aborts with 134).
+"${cli}" "${cli_args[@]}" --checkpoint "${ckpt_tmp}/ck3" > /dev/null
+python3 - "${ckpt_tmp}/ck3/snapshot.bin" <<'EOF'
+import sys
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+data[15] ^= 0xFF
+open(path, "wb").write(bytes(data))
+EOF
+status=0
+"${cli}" "${cli_args[@]}" --resume "${ckpt_tmp}/ck3" > /dev/null 2>&1 || status=$?
+if [[ "${status}" -ne 3 ]]; then
+  echo "ERROR: flipped section count: expected exit 3, got ${status}" >&2; exit 1
 fi
 rm -rf "${ckpt_tmp}"
 

@@ -110,10 +110,12 @@ class DeviceRrrCollection {
   /// registry must outlive the collection or the next attach call.
   void attach_metrics(support::metrics::MetricsRegistry* registry);
 
-  /// Wire the commit-publish wall timer into `profile` (nullptr detaches).
-  /// Only publishes of at least kTimedPublishLen elements are timed — a
-  /// short set's publish is cheaper than the two clock reads it would cost,
-  /// and the sampling profiler attributes that tail statistically.
+  /// Wire the commit-publish and eviction wall timers into `profile`
+  /// (nullptr detaches). Only publishes of at least kTimedPublishLen
+  /// elements are timed — a short set's publish is cheaper than the two
+  /// clock reads it would cost, and the sampling profiler attributes that
+  /// tail statistically. Every spill_committed() call is timed whole
+  /// (`spill.evict`: decode, block encode, tier admission).
   void attach_profile(support::profiler::WallProfile* profile);
   static constexpr std::size_t kTimedPublishLen = 64;
 
@@ -189,6 +191,7 @@ class DeviceRrrCollection {
   support::metrics::Counter* regrow_o_ = nullptr;
   support::metrics::Histogram* set_size_hist_ = nullptr;
   support::profiler::WallTimer* commit_publish_ = nullptr;
+  support::profiler::WallTimer* spill_evict_ = nullptr;
 };
 
 }  // namespace eim::eim_impl

@@ -63,6 +63,7 @@ void DeviceRrrCollection::attach_metrics(support::metrics::MetricsRegistry* regi
 
 void DeviceRrrCollection::attach_profile(support::profiler::WallProfile* profile) {
   commit_publish_ = profile != nullptr ? &profile->timer("commit.publish") : nullptr;
+  spill_evict_ = profile != nullptr ? &profile->timer("spill.evict") : nullptr;
 }
 
 void DeviceRrrCollection::charge_device(std::uint64_t bytes) {
@@ -106,6 +107,7 @@ std::uint64_t DeviceRrrCollection::budget_device_elements() const noexcept {
 
 void DeviceRrrCollection::spill_committed() {
   EIM_CHECK_MSG(spill_ != nullptr, "spill_committed without an attached store");
+  const support::profiler::ScopedWallTimer evict_scope(spill_evict_);
   const std::uint64_t cursor = element_cursor_.load(std::memory_order_relaxed);
   // The wave-boundary invariant makes this safe: between waves every claimed
   // slice is published, so [device_base_, cursor) is exactly the union of

@@ -7,9 +7,14 @@
 // and encoded with whichever of the two CPU-side codecs the paper positions
 // log encoding against yields the smaller payload: LEB128 varint or
 // canonical Huffman (HBMax's choice for host-resident RRR storage,
-// arXiv:2208.00613). A CRC-32C over the payload makes torn or bit-flipped
-// blocks detectable on the way back up; the store quarantines and resamples
-// a failing block instead of trusting it.
+// arXiv:2208.00613). Both sections are priced exactly before either is
+// built — varint from per-value byte counts, Huffman from one frequency
+// pass and its merge (HuffmanCode) — and only the smaller is written; a
+// tie keeps varint. On spill blocks of real RRR sets the Huffman code
+// table alone usually outweighs its savings, so pricing first skips a
+// build that would be thrown away. A CRC-32C over the payload makes torn
+// or bit-flipped blocks detectable on the way back up; the store
+// quarantines and resamples a failing block instead of trusting it.
 #pragma once
 
 #include <cstdint>

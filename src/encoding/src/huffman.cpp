@@ -1,144 +1,222 @@
 #include "eim/encoding/huffman.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <array>
 
+#include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
 
 namespace eim::encoding {
 
 namespace {
 
-/// Writer that appends bits MSB-first into a byte vector.
+/// Symbols below this are counted and looked up in a direct-indexed table
+/// (16 KB, cache-resident) — on spill blocks that is nearly every gap-coded
+/// member; larger ones (a set's absolute first member on a big graph, the
+/// rare long jump) are sorted instead.
+constexpr std::uint64_t kDenseSymbols = std::uint64_t{1} << 12;
+
+/// MSB-first bit writer into a buffer sized up front. Codes collect in a
+/// 64-bit accumulator that is flushed 32 bits at a time.
 class BitWriter {
  public:
-  void put(std::uint64_t code, std::uint8_t length) {
-    for (int b = length - 1; b >= 0; --b) {
-      if (bit_ == 0) bytes_.push_back(0);
-      if ((code >> b) & 1u) bytes_.back() |= static_cast<std::uint8_t>(1u << (7 - bit_));
-      bit_ = (bit_ + 1) & 7;
+  explicit BitWriter(std::uint64_t bytes) : bytes_(bytes, 0) {}
+
+  /// Append the low `length` bits (1..64) of `code`.
+  void put(std::uint64_t code, unsigned length) {
+    if (length > 32) {
+      put_short(code >> 32, length - 32);
+      length = 32;
     }
+    put_short(code & ((std::uint64_t{1} << length) - 1), length);
   }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
+
+  /// Flush the partial tail (zero-padded) and hand the bytes over.
+  [[nodiscard]] std::vector<std::uint8_t> take() {
+    if (fill_ > 0) {
+      const std::uint64_t tail = acc_ << (64 - fill_);
+      for (unsigned b = 0; b < fill_; b += 8) {
+        bytes_[at_++] = static_cast<std::uint8_t>(tail >> (56 - b));
+      }
+    }
+    EIM_CHECK_MSG(at_ == bytes_.size(), "huffman payload size mispriced");
+    return std::move(bytes_);
+  }
 
  private:
-  std::vector<std::uint8_t> bytes_;
-  unsigned bit_ = 0;
-};
-
-/// Compute code lengths with the classic two-queue Huffman construction.
-std::vector<std::uint8_t> code_lengths(const std::vector<std::uint64_t>& freqs) {
-  struct Node {
-    std::uint64_t weight;
-    int left = -1, right = -1;
-    int symbol = -1;
-  };
-  std::vector<Node> nodes;
-  using HeapItem = std::pair<std::uint64_t, int>;  // (weight, node id)
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
-  for (std::size_t s = 0; s < freqs.size(); ++s) {
-    nodes.push_back(Node{freqs[s], -1, -1, static_cast<int>(s)});
-    heap.emplace(freqs[s], static_cast<int>(s));
-  }
-  while (heap.size() > 1) {
-    const auto [wa, a] = heap.top();
-    heap.pop();
-    const auto [wb, b] = heap.top();
-    heap.pop();
-    nodes.push_back(Node{wa + wb, a, b, -1});
-    heap.emplace(wa + wb, static_cast<int>(nodes.size() - 1));
-  }
-
-  std::vector<std::uint8_t> lengths(freqs.size(), 0);
-  if (freqs.size() == 1) {
-    lengths[0] = 1;  // degenerate alphabet still needs one bit per symbol
-    return lengths;
-  }
-  // Depth-first traversal assigning depths as lengths.
-  std::vector<std::pair<int, std::uint8_t>> stack{{static_cast<int>(nodes.size() - 1), 0}};
-  while (!stack.empty()) {
-    const auto [id, depth] = stack.back();
-    stack.pop_back();
-    const Node& node = nodes[static_cast<std::size_t>(id)];
-    if (node.symbol >= 0) {
-      lengths[static_cast<std::size_t>(node.symbol)] = std::max<std::uint8_t>(1, depth);
-    } else {
-      stack.emplace_back(node.left, static_cast<std::uint8_t>(depth + 1));
-      stack.emplace_back(node.right, static_cast<std::uint8_t>(depth + 1));
+  // length <= 32 and fill_ < 32 on entry, so the accumulator never overflows.
+  void put_short(std::uint64_t code, unsigned length) {
+    acc_ = (acc_ << length) | code;
+    fill_ += length;
+    if (fill_ >= 32) {
+      fill_ -= 32;
+      const auto word = static_cast<std::uint32_t>(acc_ >> fill_);
+      for (int b = 3; b >= 0; --b) {
+        bytes_[at_++] = static_cast<std::uint8_t>(word >> (8 * b));
+      }
     }
   }
-  return lengths;
+
+  std::vector<std::uint8_t> bytes_;
+  std::size_t at_ = 0;
+  std::uint64_t acc_ = 0;
+  unsigned fill_ = 0;
+};
+
+/// Code lengths for `counts` (one per alphabet entry) by the two-queue
+/// merge; returns the payload bits, the sum of the merge weights.
+///
+/// Ties are broken so the tree is fixed by the counts alone: leaves enter
+/// in (count, alphabet index) order, merged nodes queue in creation order
+/// (their weights never decrease), and a leaf is taken before a merged node
+/// of equal weight. The canonical code, and so every encoded byte, depends
+/// on this order.
+std::uint64_t merge_lengths(const std::vector<std::uint64_t>& counts,
+                            std::vector<std::uint8_t>& lengths) {
+  const std::size_t a = counts.size();
+  lengths.assign(a, 1);
+  if (a == 1) return counts[0];  // degenerate alphabet: one bit per symbol
+
+  // Leaves in (count, alphabet index) order: a stable LSD radix sort on
+  // the count, one byte per pass, as many passes as the largest count needs
+  // (one or two on spill blocks). A comparison sort of the same keys costs
+  // more than the whole counting pass, most of it in mispredicted branches.
+  std::vector<std::uint32_t> leaves(a);
+  std::vector<std::uint32_t> sorted(a);
+  for (std::size_t i = 0; i < a; ++i) leaves[i] = static_cast<std::uint32_t>(i);
+  const std::uint64_t max_count = *std::max_element(counts.begin(), counts.end());
+  for (unsigned shift = 0; (max_count >> shift) != 0; shift += 8) {
+    std::array<std::size_t, 257> start{};
+    for (const std::uint32_t i : leaves) ++start[((counts[i] >> shift) & 0xFFu) + 1];
+    for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+    for (const std::uint32_t i : leaves) sorted[start[(counts[i] >> shift) & 0xFFu]++] = i;
+    leaves.swap(sorted);
+  }
+
+  // Node ids: leaves are their alphabet index, merged node m is a + m.
+  std::vector<std::uint64_t> merged(a - 1);
+  std::vector<std::size_t> parent(2 * a - 1);
+  std::size_t made = 0;
+  std::size_t next_leaf = 0;
+  std::size_t next_merged = 0;
+  const auto pop = [&](std::uint64_t& weight) -> std::size_t {
+    if (next_leaf < a &&
+        (next_merged == made || counts[leaves[next_leaf]] <= merged[next_merged])) {
+      weight = counts[leaves[next_leaf]];
+      return leaves[next_leaf++];
+    }
+    weight = merged[next_merged];
+    return a + next_merged++;
+  };
+  std::uint64_t bits = 0;
+  while (made + 1 < a) {
+    std::uint64_t wx = 0;
+    std::uint64_t wy = 0;
+    const std::size_t x = pop(wx);
+    const std::size_t y = pop(wy);
+    parent[x] = parent[y] = a + made;
+    merged[made++] = wx + wy;
+    bits += wx + wy;
+  }
+
+  // Every node's parent has a larger id, so one descending pass assigns
+  // depths root (id 2a - 2, depth 0) first.
+  std::vector<std::uint8_t> depth(2 * a - 1, 0);
+  for (std::size_t node = 2 * a - 2; node-- > 0;) {
+    depth[node] = static_cast<std::uint8_t>(depth[parent[node]] + 1);
+  }
+  std::copy(depth.begin(), depth.begin() + static_cast<std::ptrdiff_t>(a),
+            lengths.begin());
+  return bits;
 }
 
 }  // namespace
 
-HuffmanBlock huffman_encode(std::span<const std::uint32_t> values) {
+HuffmanCode::HuffmanCode(std::span<const std::uint32_t> values)
+    : num_values_(values.size()) {
+  if (values.empty()) return;
+  EIM_CHECK_MSG(values.size() <= UINT32_MAX, "huffman block over 2^32 - 1 values");
+
+  // One counting pass: small symbols into the flat table, the rest aside.
+  const std::uint32_t max = *std::max_element(values.begin(), values.end());
+  dense_.assign(std::min<std::uint64_t>(std::uint64_t{max} + 1, kDenseSymbols), 0);
+  std::vector<std::uint32_t> wide;
+  for (const std::uint32_t v : values) {
+    if (v < dense_.size()) {
+      ++dense_[v];
+    } else {
+      wide.push_back(v);
+    }
+  }
+
+  // Alphabet, ascending: the table's occupied slots, then the sorted wide
+  // symbols run-length counted. The table switches from counts to indices.
+  std::vector<std::uint64_t> counts;
+  for (std::size_t s = 0; s < dense_.size(); ++s) {
+    if (dense_[s] == 0) continue;
+    counts.push_back(dense_[s]);
+    dense_[s] = static_cast<std::uint32_t>(symbols_.size());
+    symbols_.push_back(static_cast<std::uint32_t>(s));
+  }
+  wide_begin_ = symbols_.size();
+  std::sort(wide.begin(), wide.end());
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    if (i > 0 && wide[i] == wide[i - 1]) {
+      ++counts.back();
+    } else {
+      symbols_.push_back(wide[i]);
+      counts.push_back(1);
+    }
+  }
+
+  payload_bits_ = merge_lengths(counts, lengths_);
+}
+
+std::size_t HuffmanCode::index_of(std::uint32_t symbol) const {
+  if (symbol < dense_.size()) return dense_[symbol];
+  const auto wide = symbols_.begin() + static_cast<std::ptrdiff_t>(wide_begin_);
+  return static_cast<std::size_t>(
+      std::lower_bound(wide, symbols_.end(), symbol) - symbols_.begin());
+}
+
+HuffmanBlock HuffmanCode::encode(std::span<const std::uint32_t> values) const {
+  EIM_CHECK_MSG(values.size() == num_values_, "huffman code built for other values");
   HuffmanBlock block;
   block.num_symbols = values.size();
   if (values.empty()) return block;
 
-  // Frequency table over the observed alphabet.
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
-  for (const std::uint32_t v : values) ++freq[v];
-
-  std::vector<std::uint32_t> alphabet;
-  std::vector<std::uint64_t> freqs;
-  alphabet.reserve(freq.size());
-  for (const auto& [symbol, count] : freq) {
-    alphabet.push_back(symbol);
-    freqs.push_back(count);
-  }
-  // Deterministic construction: sort the alphabet first.
-  std::vector<std::size_t> order(alphabet.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return alphabet[a] < alphabet[b]; });
-  {
-    std::vector<std::uint32_t> a2(alphabet.size());
-    std::vector<std::uint64_t> f2(freqs.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      a2[i] = alphabet[order[i]];
-      f2[i] = freqs[order[i]];
-    }
-    alphabet.swap(a2);
-    freqs.swap(f2);
-  }
-
-  const std::vector<std::uint8_t> lengths = code_lengths(freqs);
-
-  // Canonical ordering: (length, symbol).
-  std::vector<std::size_t> canon(alphabet.size());
+  // Canonical order is (length, symbol); the alphabet is already ascending,
+  // so a stable sort by length gives it.
+  std::vector<std::size_t> canon(symbols_.size());
   for (std::size_t i = 0; i < canon.size(); ++i) canon[i] = i;
-  std::sort(canon.begin(), canon.end(), [&](std::size_t a, std::size_t b) {
-    return lengths[a] != lengths[b] ? lengths[a] < lengths[b]
-                                    : alphabet[a] < alphabet[b];
-  });
+  std::stable_sort(canon.begin(), canon.end(),
+                   [&](std::size_t a, std::size_t b) { return lengths_[a] < lengths_[b]; });
 
-  block.symbols.reserve(alphabet.size());
-  block.lengths.reserve(alphabet.size());
-  for (const std::size_t i : canon) {
-    block.symbols.push_back(alphabet[i]);
-    block.lengths.push_back(lengths[i]);
-  }
-
-  // Canonical code assignment.
-  std::unordered_map<std::uint32_t, std::pair<std::uint64_t, std::uint8_t>> codes;
+  // Canonical code assignment, kept per alphabet index for the lookup.
+  block.symbols.reserve(canon.size());
+  block.lengths.reserve(canon.size());
+  std::vector<std::uint64_t> codes(symbols_.size());
   std::uint64_t code = 0;
-  std::uint8_t prev_len = block.lengths.empty() ? 0 : block.lengths.front();
-  for (std::size_t i = 0; i < block.symbols.size(); ++i) {
-    code <<= (block.lengths[i] - prev_len);
-    codes[block.symbols[i]] = {code, block.lengths[i]};
-    prev_len = block.lengths[i];
-    ++code;
+  std::uint8_t prev_len = lengths_[canon.front()];
+  for (const std::size_t i : canon) {
+    block.symbols.push_back(symbols_[i]);
+    block.lengths.push_back(lengths_[i]);
+    code <<= (lengths_[i] - prev_len);
+    codes[i] = code++;
+    prev_len = lengths_[i];
   }
 
-  BitWriter writer;
+  BitWriter writer(support::div_ceil<std::uint64_t>(payload_bits_, 8));
   for (const std::uint32_t v : values) {
-    const auto [c, len] = codes.at(v);
-    writer.put(c, len);
+    const std::size_t i = index_of(v);
+    writer.put(codes[i], lengths_[i]);
   }
   block.bits = writer.take();
   return block;
+}
+
+HuffmanBlock huffman_encode(std::span<const std::uint32_t> values) {
+  return HuffmanCode(values).encode(values);
 }
 
 std::vector<std::uint32_t> huffman_decode(const HuffmanBlock& block) {

@@ -6,6 +6,7 @@
 
 #include "eim/encoding/huffman.hpp"
 #include "eim/encoding/varint.hpp"
+#include "eim/support/bits.hpp"
 #include "eim/support/crc32.hpp"
 #include "eim/support/error.hpp"
 
@@ -18,13 +19,39 @@ namespace {
 //   payload_bytes(8) crc32c(4)
 constexpr std::size_t kHeaderBytes = 8 + 1 + 8 + 8 + 8 + 8 + 4;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+/// Sequential writer into a frame the encoder priced up front — the mirror
+/// of Cursor. Stores go by index into a buffer of exactly the priced size,
+/// so every field must be priced by the same rule that writes it;
+/// take() verifies the total.
+class FrameWriter {
+ public:
+  explicit FrameWriter(std::size_t bytes) : frame_(bytes) {}
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+  void u8(std::uint8_t v) { frame_[at_++] = v; }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  /// LEB128, byte for byte what varint_append writes.
+  void varint(std::uint32_t v) {
+    for (; v >= 0x80; v >>= 7) u8(static_cast<std::uint8_t>(v) | 0x80u);
+    u8(static_cast<std::uint8_t>(v));
+  }
+  void bytes(std::span<const std::uint8_t> b) {
+    std::copy(b.begin(), b.end(), frame_.begin() + static_cast<std::ptrdiff_t>(at_));
+    at_ += b.size();
+  }
+  [[nodiscard]] std::vector<std::uint8_t> take() {
+    EIM_CHECK_MSG(at_ == frame_.size(), "rrr block: frame mispriced");
+    return std::move(frame_);
+  }
+
+ private:
+  std::vector<std::uint8_t> frame_;
+  std::size_t at_ = 0;
+};
 
 class Cursor {
  public:
@@ -42,13 +69,13 @@ class Cursor {
   [[nodiscard]] std::uint32_t u32() {
     const auto v = take(4);
     std::uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) r |= static_cast<std::uint32_t>(v[i]) << (8 * i);
+    for (std::size_t i = 0; i < 4; ++i) r |= static_cast<std::uint32_t>(v[i]) << (8 * i);
     return r;
   }
   [[nodiscard]] std::uint64_t u64() {
     const auto v = take(8);
     std::uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) r |= static_cast<std::uint64_t>(v[i]) << (8 * i);
+    for (std::size_t i = 0; i < 8; ++i) r |= static_cast<std::uint64_t>(v[i]) << (8 * i);
     return r;
   }
   [[nodiscard]] std::size_t remaining() const noexcept { return bytes_.size() - at_; }
@@ -75,18 +102,28 @@ std::vector<std::uint32_t> to_deltas(std::span<const std::uint32_t> lengths,
   return deltas;
 }
 
-std::vector<std::uint8_t> serialize_huffman(const HuffmanBlock& block) {
-  std::vector<std::uint8_t> out;
-  out.reserve(block.total_bytes() + 32);
-  put_u32(out, static_cast<std::uint32_t>(block.symbols.size()));
+/// Bytes of `value` as a LEB128 varint.
+std::uint64_t varint_bytes(std::uint32_t value) noexcept {
+  return 1 + std::uint64_t{value >= (1u << 7)} + std::uint64_t{value >= (1u << 14)} +
+         std::uint64_t{value >= (1u << 21)} + std::uint64_t{value >= (1u << 28)};
+}
+
+// Serialized Huffman section: u32 table size, (u32 symbol, u8 length) per
+// table entry, u64 symbol count, u64 payload size, then the payload.
+std::uint64_t huffman_section_bytes(const HuffmanCode& code) noexcept {
+  return 4 + 5 * std::uint64_t{code.alphabet_size()} + 16 +
+         support::div_ceil<std::uint64_t>(code.payload_bits(), 8);
+}
+
+void write_huffman(FrameWriter& out, const HuffmanBlock& block) {
+  out.u32(static_cast<std::uint32_t>(block.symbols.size()));
   for (std::size_t i = 0; i < block.symbols.size(); ++i) {
-    put_u32(out, block.symbols[i]);
-    out.push_back(block.lengths[i]);
+    out.u32(block.symbols[i]);
+    out.u8(block.lengths[i]);
   }
-  put_u64(out, block.num_symbols);
-  put_u64(out, block.bits.size());
-  out.insert(out.end(), block.bits.begin(), block.bits.end());
-  return out;
+  out.u64(block.num_symbols);
+  out.u64(block.bits.size());
+  out.bytes(block.bits);
 }
 
 HuffmanBlock deserialize_huffman(Cursor& cur) {
@@ -113,39 +150,42 @@ std::vector<std::uint8_t> rrr_block_encode(std::span<const std::uint32_t> length
                                            std::span<const std::uint32_t> values) {
   const std::vector<std::uint32_t> deltas = to_deltas(lengths, values);
 
-  // Lengths section: varint-coded (they are small and few).
-  std::vector<std::uint8_t> lengths_bytes;
-  for (const std::uint32_t len : lengths) varint_append(lengths_bytes, len);
+  // Price the whole frame before writing any of it. Lengths section:
+  // varint-coded (they are small and few). Values section: both candidate
+  // codecs are priced exactly and only the smaller is built — varint wins
+  // on tiny/uniform blocks, Huffman on skewed hub-heavy ones; a tie keeps
+  // varint.
+  std::uint64_t lengths_bytes = 0;
+  for (const std::uint32_t len : lengths) lengths_bytes += varint_bytes(len);
+  std::uint64_t varint_section = 0;
+  for (const std::uint32_t d : deltas) varint_section += varint_bytes(d);
+  const HuffmanCode huffman(deltas);
+  const std::uint64_t huffman_section = huffman_section_bytes(huffman);
+  const bool use_huffman = !deltas.empty() && huffman_section < varint_section;
+  const std::uint64_t payload_bytes =
+      lengths_bytes + (use_huffman ? huffman_section : varint_section);
 
-  // Values section: encode with both candidate codecs, keep the smaller —
-  // varint wins on tiny/uniform blocks, Huffman on skewed hub-heavy ones.
-  std::vector<std::uint8_t> varint_section;
-  varint_section.reserve(deltas.size());
-  for (const std::uint32_t d : deltas) varint_append(varint_section, d);
-  std::vector<std::uint8_t> huffman_section;
-  if (!deltas.empty()) {
-    huffman_section = serialize_huffman(huffman_encode(deltas));
+  FrameWriter out(kHeaderBytes + payload_bytes);
+  for (const char c : kRrrBlockMagic) out.u8(static_cast<std::uint8_t>(c));
+  out.u8(use_huffman ? kRrrBlockCodecHuffman : kRrrBlockCodecVarint);
+  out.u64(lengths.size());
+  out.u64(values.size());
+  out.u64(lengths_bytes);
+  out.u64(payload_bytes);
+  out.u32(0);  // CRC-32C, patched once the payload is written
+  for (const std::uint32_t len : lengths) out.varint(len);
+  if (use_huffman) {
+    write_huffman(out, huffman.encode(deltas));
+  } else {
+    for (const std::uint32_t d : deltas) out.varint(d);
   }
-  const bool use_huffman =
-      !huffman_section.empty() && huffman_section.size() < varint_section.size();
-  const std::vector<std::uint8_t>& section =
-      use_huffman ? huffman_section : varint_section;
+  std::vector<std::uint8_t> frame = out.take();
 
-  std::vector<std::uint8_t> payload;
-  payload.reserve(lengths_bytes.size() + section.size());
-  payload.insert(payload.end(), lengths_bytes.begin(), lengths_bytes.end());
-  payload.insert(payload.end(), section.begin(), section.end());
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderBytes + payload.size());
-  frame.insert(frame.end(), kRrrBlockMagic.begin(), kRrrBlockMagic.end());
-  frame.push_back(use_huffman ? kRrrBlockCodecHuffman : kRrrBlockCodecVarint);
-  put_u64(frame, lengths.size());
-  put_u64(frame, values.size());
-  put_u64(frame, lengths_bytes.size());
-  put_u64(frame, payload.size());
-  put_u32(frame, support::crc32c(payload));
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  const std::uint32_t crc =
+      support::crc32c(std::span<const std::uint8_t>(frame).subspan(kHeaderBytes));
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[kHeaderBytes - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
   return frame;
 }
 

@@ -18,6 +18,7 @@
 #include "eim/gpusim/device.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
+#include "eim/support/profiler.hpp"
 
 namespace eim::eim_impl {
 namespace {
@@ -91,6 +92,35 @@ TEST(Spill, BudgetedRunMatchesUnconstrainedSeedsBitIdentically) {
   EXPECT_GT(registry.counter("spill.fetches").value(), 0u);
   EXPECT_EQ(registry.gauge("spill.compressed_bytes").value(),
             spilled.spill_bytes_compressed);
+}
+
+TEST(Spill, EvictionsRecordTheirWallTime) {
+  // spill_committed runs between sampler waves, outside every other named
+  // scope: `spill.evict` is where its decode + block encode shows up.
+  const Graph g = make_graph();
+  const EimResult reference = run_reference(g);
+
+  support::profiler::WallProfile profile;
+  gpusim::Device device(gpusim::make_benchmark_device(256));
+  EimOptions options;
+  options.spill = tight_spill(reference, /*to_disk=*/false);
+  options.profile = &profile;
+  const EimResult spilled = run_eim(device, g, DiffusionModel::IndependentCascade,
+                                    make_params(), options);
+
+  EXPECT_EQ(spilled.seeds, reference.seeds);
+  ASSERT_GT(spilled.spilled_sets, 0u);
+  EXPECT_GT(profile.timer("spill.evict").entries(), 0u);
+  EXPECT_GT(profile.timer("spill.evict").total_seconds(), 0.0);
+
+  // An unconstrained run never evicts, so the timer stays empty.
+  support::profiler::WallProfile idle;
+  gpusim::Device device2(gpusim::make_benchmark_device(256));
+  EimOptions unconstrained;
+  unconstrained.profile = &idle;
+  (void)run_eim(device2, g, DiffusionModel::IndependentCascade, make_params(),
+                unconstrained);
+  EXPECT_EQ(idle.timer("spill.evict").entries(), 0u);
 }
 
 TEST(Spill, HostBudgetPushesBlocksToDiskWithIdenticalSeeds) {

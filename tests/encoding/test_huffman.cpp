@@ -94,6 +94,44 @@ TEST(Huffman, UnsortedCodeLengthsThrow) {
   EXPECT_THROW((void)huffman_decode(block), support::IoError);
 }
 
+TEST(Huffman, WideSymbolsRoundTrip) {
+  // Symbols past the flat counting table (>= 2^16) and >= 2^31, mixed with
+  // small ones.
+  support::RandomStream rng(6, 6);
+  std::vector<std::uint32_t> values(4000);
+  for (auto& v : values) {
+    const std::uint32_t pick = rng.next_below(4);
+    v = pick == 0 ? rng.next_below(100)
+        : pick == 1 ? (1u << 16) + rng.next_below(50)
+        : pick == 2 ? 0xFFFF'FFFFu - rng.next_below(3)
+                    : 0x8000'0000u;
+  }
+  EXPECT_EQ(huffman_decode(huffman_encode(values)), values);
+}
+
+TEST(Huffman, PriceMatchesTheEncodedBlock) {
+  // HuffmanCode prices a block before encoding it: the table size and the
+  // payload bytes must be exactly what encode() then writes.
+  support::RandomStream rng(8, 8);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint32_t> values(1 + rng.next_below(3000));
+    const std::uint32_t kind = static_cast<std::uint32_t>(trial % 4);
+    const std::uint32_t alphabet = 1 + rng.next_below(2000);
+    for (auto& v : values) {
+      const std::uint32_t u = rng.next_below(alphabet);
+      v = kind == 0   ? u                                 // uniform
+          : kind == 1 ? u * u / alphabet                  // skewed toward 0
+          : kind == 2 ? 9u                                // one symbol
+                      : u * 2'000'003u;                   // wide symbols
+    }
+    const HuffmanCode code(values);
+    const HuffmanBlock block = code.encode(values);
+    ASSERT_EQ(code.alphabet_size(), block.symbols.size()) << "trial " << trial;
+    ASSERT_EQ((code.payload_bits() + 7) / 8, block.bits.size()) << "trial " << trial;
+    ASSERT_EQ(huffman_decode(block), values) << "trial " << trial;
+  }
+}
+
 class HuffmanFuzz : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(HuffmanFuzz, RandomAlphabetsRoundTrip) {

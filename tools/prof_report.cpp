@@ -31,7 +31,10 @@
 //   other     everything else (driver, I/O, unresolved frames)
 //
 // Leaf-to-root matching attributes work to the code actually executing —
-// a codec decode running inside the selector counts as codec.
+// a codec decode running inside the selector counts as codec. The one
+// exception is the spill tier: a stack with any spill frame counts as
+// spill whatever its leaf, because an encode inside an eviction (or a
+// decode inside a fetch) is spill tax, not steady-state codec work.
 //
 // A sample "symbolizes" when at least one of its frames is a real symbol
 // (not a raw 0x address). The tool exits nonzero when fewer than
@@ -64,9 +67,9 @@ struct Bucket {
 
 /// Bucket patterns, checked per frame in this order (first hit wins). The
 /// order resolves the rare frame that matches two buckets: draw generation
-/// outranks the sampler that requested it, the spill tier outranks the
-/// codec it drives (rrr_block_encode inside an eviction is spill tax, not
-/// steady-state codec work), codec outranks the selector driving the decode.
+/// outranks the sampler that requested it, codec outranks the selector
+/// driving the decode. `spill` additionally claims every stack that has a
+/// spill frame anywhere (Report::add).
 std::vector<Bucket> make_buckets() {
   return {
       // The rng family is split three ways: the two sub-buckets claim their
@@ -130,6 +133,16 @@ struct Report {
   std::uint64_t other = 0;
   std::uint64_t symbolized = 0;
 
+  /// The bucket whose patterns `name` matches first, or nullptr.
+  Bucket* match(std::string_view name) {
+    for (Bucket& b : buckets) {
+      for (const std::string_view pat : b.patterns) {
+        if (name.find(pat) != std::string_view::npos) return &b;
+      }
+    }
+    return nullptr;
+  }
+
   /// Attribute one folded stack (root;...;leaf) carrying `count` samples.
   void add(std::string_view stack, std::uint64_t count) {
     total += count;
@@ -145,23 +158,20 @@ struct Report {
       pos = semi + 1;
     }
 
+    // The first bucketed frame leaf to root wins, unless a spill frame sits
+    // anywhere on the stack: then the whole sample is spill tax (an
+    // rrr_block_encode -> HuffmanCode leaf under TieredRrrStore::spill).
     bool any_symbol = false;
     Bucket* hit = nullptr;
     for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
       if (frame_is_symbol(*it)) any_symbol = true;
-      if (hit == nullptr) {
-        const std::string_view name = frame_name(*it);
-        for (Bucket& b : buckets) {
-          for (const std::string_view pat : b.patterns) {
-            if (name.find(pat) != std::string_view::npos) {
-              hit = &b;
-              break;
-            }
-          }
-          if (hit != nullptr) break;
-        }
+      Bucket* b = match(frame_name(*it));
+      if (b == nullptr) continue;
+      if (hit == nullptr) hit = b;
+      if (std::string_view(b->name) == "spill") {
+        hit = b;
+        break;  // a matched frame is a symbol, so any_symbol is settled
       }
-      if (hit != nullptr && any_symbol) break;
     }
     if (any_symbol) symbolized += count;
     if (hit != nullptr) {
