@@ -38,6 +38,10 @@
 #include "eim/imm/driver.hpp"
 #include "eim/imm/params.hpp"
 
+namespace eim::gpusim {
+class Device;
+}  // namespace eim::gpusim
+
 namespace eim::eim_impl {
 
 class DeviceRrrCollection;
@@ -111,6 +115,21 @@ void validate_checkpoint(const CheckpointState& state, const graph::Graph& g,
 /// Flatten `collection` (its full committed range) into
 /// `state.lengths`/`state.elements` in set-index order.
 void export_collection(const DeviceRrrCollection& collection, CheckpointState& state);
+
+/// Stamp `state` (collection, singletons and clock filled in) with this
+/// run's identity and metrics, save it to options.checkpoint_dir, count the
+/// write and mark it on `primary`'s trace track.
+void publish_checkpoint(CheckpointState& state, const graph::Graph& g,
+                        graph::DiffusionModel model, const imm::ImmParams& params,
+                        const EimOptions& options, std::uint32_t num_devices,
+                        const imm::FrameworkRoundState& round,
+                        const gpusim::Device& primary);
+
+/// Carry a resumed run's modeled clock onto `primary` (device_seconds stays
+/// the cumulative cost of the answer), fold its metrics back in, count the
+/// load and mark it on the trace.
+void carry_resume(gpusim::Device& primary, const CheckpointState& state,
+                  const EimOptions& options);
 
 /// Rebuild `collection` from `state`: reserve exact capacity, re-commit
 /// every set at its original index, and publish the set count. The

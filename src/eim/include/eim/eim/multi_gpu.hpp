@@ -1,26 +1,12 @@
-// Multi-GPU eIM — the extension announced in the paper's conclusion
-// ("we plan to extend eIM to support multi-GPU execution to further improve
-// scalability").
-//
-// Design: sampling is embarrassingly parallel, so device d generates the
-// sample indices congruent to d modulo D (the same index-keyed streams as
-// everywhere else — the union across devices is bit-identical to a
-// single-device run). After each sampling phase the per-vertex count arrays
-// are all-reduced to the primary device over the interconnect, and seed
-// selection runs on the primary against the distributed collection: each
-// pick broadcasts the chosen vertex (4 bytes) and every device scans its
-// local shard, returning its coverage delta.
-//
-// Modeled time per phase = max over devices (they run concurrently) plus
-// the reduction/broadcast transfers.
-//
-// Failover (docs/RESILIENCE.md): if a device dies mid-sampling
-// (DeviceLostError, or a transient fault that exhausts the retry budget),
-// its residual shard — every sample index it owned plus its in-flight
-// batch — is redistributed across the survivors and regenerated from the
-// same index-keyed random streams. Because streams are keyed by sample
-// index, not by device, the final seed set is bit-identical to the
-// fault-free run; only the modeled time and shard layout change.
+// Multi-GPU eIM — the extension announced in the paper's conclusion. It is
+// the PCIe fabric over the shared sharded driver (sharded_driver.hpp):
+// device d samples the global ids congruent to d mod D, so the seeds match
+// a single-device run. Count all-reduces, pick broadcasts, coverage deltas
+// and failover redistribution are serialized on the primary's PCIe copy
+// engine. A device lost mid-run (or past its retry budget) has its shard
+// regenerated on the survivors with unchanged seeds; losing every device
+// raises DeviceLostError (exit code 5). OomPolicy::Degrade and spill are
+// single-device only (docs/RESILIENCE.md).
 #pragma once
 
 #include <cstdint>
@@ -48,9 +34,7 @@ struct MultiGpuResult : EimResult {
 
 /// Run eIM across `devices.size()` simulated GPUs. Seeds (and every other
 /// algorithmic output) are identical to the single-device run with the same
-/// parameters; only the modeled time changes. Device loss mid-run triggers
-/// deterministic failover (see above) as long as one device survives;
-/// losing every device raises DeviceLostError.
+/// parameters; only the modeled time changes.
 [[nodiscard]] MultiGpuResult run_eim_multi(std::vector<gpusim::Device*> devices,
                                            const graph::Graph& g,
                                            graph::DiffusionModel model,

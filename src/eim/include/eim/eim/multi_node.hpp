@@ -1,29 +1,11 @@
-// Multi-node eIM over the modeled cluster tier (gpusim/cluster.hpp) — the
-// DiFuseR-shaped step past single-host multi-GPU (ROADMAP item 4).
-//
-// Design: the same index-keyed determinism contract as multi_gpu.hpp, one
-// level up. Global sample id i is striped across the alive nodes
-// (node = alive[i % N'], then round-robin over that node's devices), so the
-// union of shards is bit-identical to a single-device run for ANY node
-// count, alive set, or failure history. After each sampling phase the
-// per-vertex count vectors are combined with a modeled allreduce on the
-// cluster network; each selection pick exchanges the chosen vertex and the
-// coverage delta with one small allreduce.
-//
-// Resilience (docs/RESILIENCE.md, "Cluster failover"):
-//  * every collective is wrapped in support::retry — transient link faults
-//    back off exponentially on the cluster's modeled clock and re-attempt;
-//  * retry exhaustion escalates the faulting node to dead (timeout =>
-//    node-dead), exactly like a scripted NodeLostError;
-//  * a dead node's residual sample range is resharded across survivors
-//    (id % N' restriping) and regenerated from the same index-keyed
-//    streams, so final seeds stay bit-identical to the fault-free run;
-//  * a device-tier loss inside a node retires the whole node (a host whose
-//    GPU died is drained rather than limped);
-//  * if the alive set falls below MultiNodeOptions::quorum, the run either
-//    raises ClusterQuorumError (exit code 6) or — with node_degrade — keeps
-//    the committed prefix, stops extending theta, and publishes best-effort
-//    seeds with `degraded` + the sample shortfall, mirroring OomPolicy.
+// Multi-node eIM over the modeled cluster tier (gpusim/cluster.hpp): the
+// cluster fabric over the shared sharded driver (sharded_driver.hpp), one
+// node per failure domain. Count allreduces and pick exchanges run on the
+// cluster network under support::retry; an exhausted link escalates its
+// node to dead, and a dead node reshards onto the survivors with unchanged
+// seeds. Below MultiNodeOptions::quorum the run raises ClusterQuorumError
+// (exit code 6) or, with node_degrade, keeps the committed prefix and
+// reports `degraded` plus the sample shortfall (docs/RESILIENCE.md).
 #pragma once
 
 #include <cstdint>

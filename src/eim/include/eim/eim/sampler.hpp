@@ -57,7 +57,7 @@ class EimSampler {
   /// slot collection.num_sets() + j but draws from the stream of global
   /// sample id global_indices[j]. This is the multi-GPU shard entry point:
   /// device d samples the global ids congruent to d, and the union over
-  /// devices is bit-identical to a single-device run (see multi_gpu.hpp).
+  /// devices is bit-identical to a single-device run (see sharded_driver.hpp).
   void sample_assigned(DeviceRrrCollection& collection,
                        std::span<const std::uint64_t> global_indices);
 

@@ -3,14 +3,18 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "eim/eim/options.hpp"
 #include "eim/eim/rrr_collection.hpp"
+#include "eim/gpusim/device.hpp"
 #include "eim/support/atomic_write.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/json.hpp"
+#include "eim/support/metrics.hpp"
 #include "eim/support/snapshot.hpp"
+#include "eim/support/trace.hpp"
 
 namespace eim::eim_impl {
 
@@ -132,6 +136,22 @@ void validate_collection_shape(const CheckpointState& state) {
   }
 }
 
+/// The identity block a run with these inputs writes, and a resume checks.
+void stamp_identity(CheckpointState& state, const graph::Graph& g,
+                    graph::DiffusionModel model, const imm::ImmParams& params,
+                    const EimOptions& options) {
+  state.rng_seed = params.rng_seed;
+  state.num_vertices = g.num_vertices();
+  state.num_edges = g.num_edges();
+  state.k = params.k;
+  state.epsilon = params.epsilon;
+  state.ell = params.ell;
+  state.model = static_cast<std::uint8_t>(model);
+  state.log_encode = options.log_encode;
+  state.eliminate_sources = options.eliminate_sources;
+  state.draw_mode = static_cast<std::uint8_t>(options.draw_mode);
+}
+
 }  // namespace
 
 std::uint64_t save_checkpoint(const std::string& dir, const CheckpointState& state) {
@@ -229,49 +249,88 @@ CheckpointState load_checkpoint(const std::string& dir) {
 void validate_checkpoint(const CheckpointState& state, const graph::Graph& g,
                          graph::DiffusionModel model, const imm::ImmParams& params,
                          const EimOptions& options) {
-  const auto mismatch = [](const char* field, const std::string& have,
-                           const std::string& want) -> void {
-    throw InvalidArgumentError(std::string("checkpoint does not match this run: ") +
-                               field + " is " + have + " in the snapshot but " + want +
-                               " here");
+  CheckpointState want;
+  stamp_identity(want, g, model, params, options);
+  const auto text = [](const auto& v) -> std::string {
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, bool>) {
+      return v ? "true" : "false";
+    } else if constexpr (std::is_same_v<std::decay_t<decltype(v)>, std::string>) {
+      return v;
+    } else {
+      return std::to_string(v);
+    }
   };
-  if (state.num_vertices != g.num_vertices()) {
-    mismatch("num_vertices", std::to_string(state.num_vertices),
-             std::to_string(g.num_vertices()));
+  const auto check = [&](const char* field, const auto& have, const auto& wanted) {
+    if (have == wanted) return;
+    throw InvalidArgumentError(std::string("checkpoint does not match this run: ") +
+                               field + " is " + text(have) + " in the snapshot but " +
+                               text(wanted) + " here");
+  };
+  const auto draw_mode_name = [](std::uint8_t m) -> std::string {
+    return m == static_cast<std::uint8_t>(DrawMode::Skip) ? "skip" : "exact";
+  };
+  check("num_vertices", state.num_vertices, want.num_vertices);
+  check("num_edges", state.num_edges, want.num_edges);
+  check("model", state.model, want.model);
+  check("rng_seed", state.rng_seed, want.rng_seed);
+  check("k", state.k, want.k);
+  check("epsilon", state.epsilon, want.epsilon);
+  check("ell", state.ell, want.ell);
+  check("log_encode", state.log_encode, want.log_encode);
+  check("eliminate_sources", state.eliminate_sources, want.eliminate_sources);
+  check("draw_mode", draw_mode_name(state.draw_mode), draw_mode_name(want.draw_mode));
+}
+
+void publish_checkpoint(CheckpointState& state, const graph::Graph& g,
+                        graph::DiffusionModel model, const imm::ImmParams& params,
+                        const EimOptions& options, std::uint32_t num_devices,
+                        const imm::FrameworkRoundState& round,
+                        const gpusim::Device& primary) {
+  stamp_identity(state, g, model, params, options);
+  state.num_devices = num_devices;
+  state.round = round;
+  support::metrics::MetricsRegistry* metrics = options.metrics;
+  if (metrics != nullptr) {
+    std::ostringstream snapshot;
+    support::JsonWriter w(snapshot);
+    metrics->write_json(w);
+    state.metrics_json = snapshot.str();
   }
-  if (state.num_edges != g.num_edges()) {
-    mismatch("num_edges", std::to_string(state.num_edges), std::to_string(g.num_edges()));
+  const std::uint64_t bytes = save_checkpoint(options.checkpoint_dir, state);
+  if (metrics != nullptr) {
+    metrics->counter("checkpoint.writes").add();
+    metrics->counter("checkpoint.bytes_written").add(bytes);
   }
-  if (state.model != static_cast<std::uint8_t>(model)) {
-    mismatch("model", std::to_string(state.model),
-             std::to_string(static_cast<std::uint8_t>(model)));
+  if (options.trace != nullptr) {
+    if (const auto pid = options.trace->pid_of(&primary); pid.has_value()) {
+      options.trace->instant(*pid, "checkpoint.write",
+                             "num_sets=" + std::to_string(state.lengths.size()),
+                             primary.timeline().total_seconds());
+    }
   }
-  if (state.rng_seed != params.rng_seed) {
-    mismatch("rng_seed", std::to_string(state.rng_seed), std::to_string(params.rng_seed));
+}
+
+void carry_resume(gpusim::Device& primary, const CheckpointState& state,
+                  const EimOptions& options) {
+  gpusim::DeviceTimeline& timeline = primary.timeline();
+  timeline.add(gpusim::SegmentKind::Kernel, "resume carry-over", state.kernel_seconds);
+  timeline.add(gpusim::SegmentKind::Transfer, "resume carry-over",
+               state.transfer_seconds);
+  timeline.add(gpusim::SegmentKind::Allocation, "resume carry-over",
+               state.allocation_seconds);
+  timeline.add(gpusim::SegmentKind::Backoff, "resume carry-over", state.backoff_seconds);
+  if (options.metrics != nullptr) {
+    if (!state.metrics_json.empty()) {
+      support::metrics::restore_registry_json(*options.metrics, state.metrics_json);
+    }
+    options.metrics->counter("checkpoint.resume_loaded").add();
   }
-  if (state.k != params.k) {
-    mismatch("k", std::to_string(state.k), std::to_string(params.k));
-  }
-  if (state.epsilon != params.epsilon) {
-    mismatch("epsilon", std::to_string(state.epsilon), std::to_string(params.epsilon));
-  }
-  if (state.ell != params.ell) {
-    mismatch("ell", std::to_string(state.ell), std::to_string(params.ell));
-  }
-  if (state.log_encode != options.log_encode) {
-    mismatch("log_encode", state.log_encode ? "true" : "false",
-             options.log_encode ? "true" : "false");
-  }
-  if (state.eliminate_sources != options.eliminate_sources) {
-    mismatch("eliminate_sources", state.eliminate_sources ? "true" : "false",
-             options.eliminate_sources ? "true" : "false");
-  }
-  if (state.draw_mode != static_cast<std::uint8_t>(options.draw_mode)) {
-    const auto name = [](std::uint8_t m) {
-      return m == static_cast<std::uint8_t>(DrawMode::Skip) ? "skip" : "exact";
-    };
-    mismatch("draw_mode", name(state.draw_mode),
-             name(static_cast<std::uint8_t>(options.draw_mode)));
+  if (options.trace != nullptr) {
+    if (const auto pid = options.trace->pid_of(&primary); pid.has_value()) {
+      options.trace->instant(*pid, "checkpoint.resume",
+                             "num_sets=" + std::to_string(state.lengths.size()),
+                             timeline.total_seconds());
+    }
   }
 }
 

@@ -1,13 +1,14 @@
 #include "eim/eim/pipeline.hpp"
 
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <utility>
 
 #include "eim/eim/checkpoint.hpp"
 #include "eim/eim/rrr_collection.hpp"
 #include "eim/eim/sampler.hpp"
 #include "eim/eim/seed_selector.hpp"
+#include "eim/eim/sharded_driver.hpp"
 #include "eim/eim/tiered_store.hpp"
 #include "eim/encoding/packed_csc.hpp"
 #include "eim/gpusim/timeline_trace.hpp"
@@ -38,18 +39,6 @@ void retry_transfer(gpusim::Device& device, const EimOptions& options,
           options.metrics->histogram("retry.backoff_seconds").observe_duration(backoff);
         }
       });
-}
-
-/// Fold the run's injected-fault deltas into the registry (fault.* family).
-void record_fault_deltas(support::metrics::MetricsRegistry* reg,
-                         const gpusim::FaultStats& before,
-                         const gpusim::FaultStats& after) {
-  if (reg == nullptr) return;
-  reg->counter("fault.kernel_faults_injected").add(after.kernel_faults - before.kernel_faults);
-  reg->counter("fault.transfer_faults_injected")
-      .add(after.transfer_faults - before.transfer_faults);
-  reg->counter("fault.alloc_oom_injected").add(after.alloc_ooms - before.alloc_ooms);
-  reg->counter("fault.device_lost").add(after.device_losses - before.device_losses);
 }
 
 /// Detach pool instrumentation on scope exit: the device outlives the run,
@@ -181,27 +170,7 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
     retry_transfer(device, options, "checkpoint restore", [&] {
       device.transfer_to_device("checkpoint restore", restore_bytes);
     });
-    // Carry the crashed segment's modeled clock so device_seconds stays the
-    // cumulative modeled cost of reaching the answer.
-    device.timeline().add(gpusim::SegmentKind::Kernel, "resume carry-over",
-                          ckpt.kernel_seconds);
-    device.timeline().add(gpusim::SegmentKind::Transfer, "resume carry-over",
-                          ckpt.transfer_seconds);
-    device.timeline().add(gpusim::SegmentKind::Allocation, "resume carry-over",
-                          ckpt.allocation_seconds);
-    device.timeline().add(gpusim::SegmentKind::Backoff, "resume carry-over",
-                          ckpt.backoff_seconds);
-    if (reg != nullptr) {
-      if (!ckpt.metrics_json.empty()) {
-        support::metrics::restore_registry_json(*reg, ckpt.metrics_json);
-      }
-      reg->counter("checkpoint.resume_loaded").add();
-    }
-    if (trace != nullptr) {
-      trace->instant(trace_pid, "checkpoint.resume",
-                     "num_sets=" + std::to_string(collection.num_sets()),
-                     device.timeline().total_seconds());
-    }
+    carry_resume(device, ckpt, options);
   }
   collection.attach_metrics(reg);
 
@@ -253,40 +222,13 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
   if (!options.checkpoint_dir.empty()) {
     on_round = [&](const imm::FrameworkRoundState& fr) {
       CheckpointState ckpt;
-      ckpt.rng_seed = effective.rng_seed;
-      ckpt.num_vertices = g.num_vertices();
-      ckpt.num_edges = g.num_edges();
-      ckpt.k = effective.k;
-      ckpt.epsilon = effective.epsilon;
-      ckpt.ell = effective.ell;
-      ckpt.model = static_cast<std::uint8_t>(model);
-      ckpt.log_encode = options.log_encode;
-      ckpt.eliminate_sources = effective.eliminate_sources;
-      ckpt.draw_mode = static_cast<std::uint8_t>(options.draw_mode);
-      ckpt.num_devices = 1;
-      ckpt.round = fr;
       export_collection(collection, ckpt);
       ckpt.singletons_discarded = sampler.singletons_discarded();
       ckpt.kernel_seconds = device.timeline().kernel_seconds();
       ckpt.transfer_seconds = device.timeline().transfer_seconds();
       ckpt.allocation_seconds = device.timeline().allocation_seconds();
       ckpt.backoff_seconds = device.timeline().backoff_seconds();
-      if (reg != nullptr) {
-        std::ostringstream snapshot;
-        support::JsonWriter w(snapshot);
-        reg->write_json(w);
-        ckpt.metrics_json = snapshot.str();
-      }
-      const std::uint64_t bytes = save_checkpoint(options.checkpoint_dir, ckpt);
-      if (reg != nullptr) {
-        reg->counter("checkpoint.writes").add();
-        reg->counter("checkpoint.bytes_written").add(bytes);
-      }
-      if (trace != nullptr) {
-        trace->instant(trace_pid, "checkpoint.write",
-                       "num_sets=" + std::to_string(collection.num_sets()),
-                       device.timeline().total_seconds());
-      }
+      publish_checkpoint(ckpt, g, model, effective, options, 1, fr, device);
     };
   }
 
@@ -300,14 +242,13 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
         support::trace::ScopedSpan round_span(
             trace, trace_pid, support::trace::SpanCategory::Round,
             "round " + std::to_string(sample_round++), before);
-        if (sample_phase == nullptr) {
+        {
+          std::optional<support::metrics::ScopedPhase> scope;
+          if (sample_phase != nullptr) scope.emplace(*sample_phase);
           sample_to(target);
-        } else {
-          const support::metrics::ScopedPhase scope(*sample_phase);
-          sample_to(target);
-          sample_phase->add_modeled(device.timeline().total_seconds() - before);
         }
         const double after = device.timeline().total_seconds();
+        if (sample_phase != nullptr) sample_phase->add_modeled(after - before);
         round_span.end(after);
         phase_span.end(after);
       },
@@ -315,15 +256,12 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
         const double before = device.timeline().total_seconds();
         support::trace::ScopedSpan phase_span(
             trace, trace_pid, support::trace::SpanCategory::Phase, "select", before);
-        imm::SelectionResult sel;
-        if (select_phase == nullptr) {
-          sel = selector.select(collection, effective.k);
-        } else {
-          const support::metrics::ScopedPhase scope(*select_phase);
-          sel = selector.select(collection, effective.k);
-          select_phase->add_modeled(device.timeline().total_seconds() - before);
-        }
-        phase_span.end(device.timeline().total_seconds());
+        std::optional<support::metrics::ScopedPhase> scope;
+        if (select_phase != nullptr) scope.emplace(*select_phase);
+        imm::SelectionResult sel = selector.select(collection, effective.k);
+        const double after = device.timeline().total_seconds();
+        if (select_phase != nullptr) select_phase->add_modeled(after - before);
+        phase_span.end(after);
         return sel;
       },
       options.resume != nullptr ? &options.resume->round : nullptr, on_round);
@@ -341,17 +279,10 @@ EimResult run_eim(gpusim::Device& device, const graph::Graph& g,
   result.estimation_rounds = outcome.estimation_rounds;
   result.singletons_discarded = sampler.singletons_discarded();
   // Coverage under source elimination is conditional on non-singleton
-  // samples; rescale by the kept fraction so the reported spread estimate
-  // stays an unbiased n * F over *all* generated samples. (The inflated
-  // conditional coverage still drives the theta estimate — that is the
-  // §3.4 heuristic's speed mechanism.)
-  const std::uint64_t generated = collection.num_sets() + result.singletons_discarded;
-  const double kept_fraction =
-      generated > 0 ? static_cast<double>(collection.num_sets()) /
-                          static_cast<double>(generated)
-                    : 1.0;  // degraded before the first set committed
-  result.estimated_spread = static_cast<double>(g.num_vertices()) *
-                            outcome.final_selection.coverage_fraction * kept_fraction;
+  // samples; the reported spread rescales by the kept fraction.
+  result.estimated_spread =
+      kept_fraction_spread(g.num_vertices(), outcome.final_selection.coverage_fraction,
+                           result.num_sets, result.singletons_discarded);
 
   result.device_seconds = device.timeline().total_seconds();
   result.kernel_seconds = device.timeline().kernel_seconds();

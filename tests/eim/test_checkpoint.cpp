@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -358,6 +359,60 @@ TEST(Checkpoint, ResumeThenDeviceLossDoesNotDoubleCountSingletons) {
     expect_same_answer(reference, resumed);
     ASSERT_EQ(resumed.failed_devices.size(), 1u);
     EXPECT_EQ(resumed.failed_devices[0], victim);
+  }
+}
+
+TEST(Checkpoint, ResumeThenTwoDeviceLossesKeepsTheCollection) {
+  // After device 0 dies post-resume, a survivor's next batch re-commits
+  // restored sets and samples fresh ones. If that survivor dies too, only
+  // the ids it had not committed are in flight: the re-committed prefix
+  // already respills with its shard and must not be regenerated twice.
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+
+  DevicePool ref_pool(3);
+  const MultiGpuResult reference =
+      run_eim_multi(ref_pool.ptrs, g, DiffusionModel::IndependentCascade, params);
+
+  TempDir dir("eim_ckpt_two_losses_after_resume");
+  {
+    DevicePool doomed(3);
+    gpusim::FaultPlan plan;
+    plan.process_abort_kernel_ordinal = ref_pool.ptrs[0]->kernel_launch_ordinal() / 2;
+    doomed.ptrs[0]->set_fault_plan(plan);
+    EimOptions options;
+    options.checkpoint_dir = dir.path;
+    try {
+      (void)run_eim_multi(doomed.ptrs, g, DiffusionModel::IndependentCascade, params,
+                          options);
+    } catch (const support::ProcessAbortError&) {
+    }
+  }
+  CheckpointState ckpt = load_checkpoint(dir.path);
+  EimOptions options;
+  options.resume = &ckpt;
+  gpusim::FaultPlan first_loss;
+  first_loss.device_loss_kernel_ordinal = 1;
+
+  DevicePool probe(3);
+  probe.ptrs[0]->set_fault_plan(first_loss);
+  (void)run_eim_multi(probe.ptrs, g, DiffusionModel::IndependentCascade, params, options);
+  const std::uint64_t launches = probe.ptrs[1]->kernel_launch_ordinal();
+  ASSERT_GT(launches, 1u);
+
+  for (std::uint64_t ordinal = 0; ordinal < launches; ++ordinal) {
+    DevicePool pool(3);
+    pool.ptrs[0]->set_fault_plan(first_loss);
+    gpusim::FaultPlan second_loss;
+    second_loss.device_loss_kernel_ordinal = ordinal;
+    pool.ptrs[1]->set_fault_plan(second_loss);
+    const MultiGpuResult resumed = run_eim_multi(
+        pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
+    SCOPED_TRACE("second loss at ordinal " + std::to_string(ordinal));
+    expect_same_answer(reference, resumed);
+    std::vector<std::uint32_t> failed = resumed.failed_devices;
+    std::sort(failed.begin(), failed.end());
+    EXPECT_EQ(failed, (std::vector<std::uint32_t>{0u, 1u}));
   }
 }
 

@@ -283,7 +283,89 @@ TEST(MultiGpuFailover, LosingEveryDeviceThrows) {
   pool.ptrs[1]->set_fault_plan(plan);
   EXPECT_THROW((void)run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade,
                                    make_params()),
-               support::Error);
+               support::DeviceLostError);
+}
+
+TEST(MultiGpuFailover, KillingDeviceOneAtEveryOrdinalKeepsTheAnswer) {
+  // Device 1 of 3 dies at each kernel ordinal it launches in a fault-free
+  // run; the shared regenerate loop must rebuild the same collection every
+  // time — seeds, θ and the exact singleton tally (hence the spread).
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+
+  DevicePool clean(3);
+  const MultiGpuResult reference =
+      run_eim_multi(clean.ptrs, g, DiffusionModel::IndependentCascade, params);
+  const std::uint64_t launches = clean.ptrs[1]->kernel_launch_ordinal();
+  ASSERT_GT(launches, 2u);
+
+  for (std::uint64_t ordinal = 0; ordinal < launches; ++ordinal) {
+    DevicePool pool(3);
+    gpusim::FaultPlan plan;
+    plan.device_loss_kernel_ordinal = ordinal;
+    pool.ptrs[1]->set_fault_plan(plan);
+    const MultiGpuResult failed =
+        run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params);
+    ASSERT_EQ(failed.seeds, reference.seeds) << "loss at ordinal " << ordinal;
+    ASSERT_EQ(failed.num_sets, reference.num_sets) << "loss at ordinal " << ordinal;
+    ASSERT_EQ(failed.singletons_discarded, reference.singletons_discarded)
+        << "loss at ordinal " << ordinal;
+    ASSERT_EQ(failed.failed_devices, std::vector<std::uint32_t>{1u})
+        << "loss at ordinal " << ordinal;
+  }
+}
+
+TEST(MultiGpu, PcieFabricChargesFollowTheRunShape) {
+  // Fault-free D=3: each sampling phase that grew θ all-reduces D-1 count
+  // arrays, each pick broadcasts to D-1 devices, and the communication time
+  // is exactly the primary's reduce/broadcast/delta transfer segments. Every
+  // figure is a count or a per-label sum, so commit order cannot move it.
+  const Graph g = make_graph();
+  const imm::ImmParams params = make_params();
+  constexpr std::uint64_t kDevices = 3;
+  DevicePool pool(kDevices);
+  support::metrics::MetricsRegistry registry;
+  EimOptions options;
+  options.metrics = &registry;
+  const MultiGpuResult r =
+      run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade, params, options);
+
+  const std::uint64_t growing_phases = registry.phase("sample").entries();
+  const std::uint64_t select_calls = registry.phase("select").entries();
+  ASSERT_GT(growing_phases, 0u);
+  ASSERT_GT(select_calls, 0u);
+  EXPECT_EQ(registry.counter("multi.count_allreduces").value(),
+            (kDevices - 1) * growing_phases);
+  EXPECT_EQ(registry.counter("multi.pick_broadcasts").value(),
+            (kDevices - 1) * params.k * select_calls);
+
+  double fabric_seconds = 0.0;
+  for (const gpusim::TimelineSegment& s : pool.ptrs[0]->timeline().segments()) {
+    if (s.kind == gpusim::SegmentKind::Transfer &&
+        (s.label == "H2D count all-reduce" || s.label == "H2D pick broadcast" ||
+         s.label == "D2H coverage delta")) {
+      fabric_seconds += s.seconds;
+    }
+  }
+  EXPECT_GT(fabric_seconds, 0.0);
+  EXPECT_NEAR(r.communication_seconds, fabric_seconds, 1e-12 * fabric_seconds);
+}
+
+TEST(MultiGpu, RejectsSingleDeviceMemoryPolicies) {
+  // OOM degrade and the spill tiers answer memory pressure on one device;
+  // a sharded run refuses them instead of silently ignoring them.
+  const Graph g = make_graph();
+  DevicePool pool(2);
+  EimOptions degrade;
+  degrade.oom_policy = OomPolicy::Degrade;
+  EXPECT_THROW((void)run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade,
+                                   make_params(), degrade),
+               support::InvalidArgumentError);
+  EimOptions spill;
+  spill.spill.policy = SpillPolicy::Spill;
+  EXPECT_THROW((void)run_eim_multi(pool.ptrs, g, DiffusionModel::IndependentCascade,
+                                   make_params(), spill),
+               support::InvalidArgumentError);
 }
 
 }  // namespace

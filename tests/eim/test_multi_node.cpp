@@ -484,6 +484,23 @@ TEST(ClusterFailover, LosingEveryNodeThrowsEvenWithDegrade) {
                support::ClusterQuorumError);
 }
 
+TEST(MultiNode, RejectsSingleDeviceMemoryPolicies) {
+  // The cluster answers memory pressure by resharding; OOM degrade and the
+  // spill tiers are refused rather than silently ignored.
+  const Graph g = make_graph();
+  gpusim::Cluster cluster = make_cluster(2);
+  EimOptions degrade;
+  degrade.oom_policy = OomPolicy::Degrade;
+  EXPECT_THROW((void)run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade,
+                                     make_params(), degrade),
+               support::InvalidArgumentError);
+  EimOptions spill;
+  spill.spill.policy = SpillPolicy::SpillThenDegrade;
+  EXPECT_THROW((void)run_eim_cluster(cluster, g, DiffusionModel::IndependentCascade,
+                                     make_params(), spill),
+               support::InvalidArgumentError);
+}
+
 TEST(ClusterCheckpoint, MidRunSnapshotResumesAcrossNodeCounts) {
   // Acceptance point (b): a snapshot written by a 3-node cluster killed
   // mid-run resumes bit-identically on 2 nodes, on 4 nodes, and on a plain

@@ -152,7 +152,8 @@ void print_usage() {
       "  --no-log-encoding    disable the Section 3.1 compression\n"
       "  --no-source-elim     disable the Section 3.4 heuristic\n"
       "  --oom-degrade        on device OOM, return best-effort seeds from\n"
-      "                       the sets that fit instead of failing (eim only)\n"
+      "                       the sets that fit instead of failing (eim on\n"
+      "                       one device only)\n"
       "  --json               print the result as a JSON object\n"
       "  --metrics-json <path|->  write an eim.metrics.v3 run report (phase\n"
       "                       timers, histograms, memory high-water mark,\n"
@@ -378,6 +379,11 @@ int main(int argc, char** argv) {
           "--nodes); the cluster tier handles memory pressure by resharding"));
     }
   }
+  if (opt.oom_degrade && (opt.devices > 1 || opt.nodes > 0)) {
+    return report_error(support::InvalidArgumentError(
+        "--oom-degrade requires a single device (no --devices > 1 or --nodes); "
+        "a sharded run answers memory pressure by adding devices"));
+  }
   // Each artifact stream has its own framing; interleaving any two on
   // stdout would corrupt both, so at most one may claim '-'.
   {
@@ -464,6 +470,26 @@ int main(int argc, char** argv) {
         throw;
       }
     }
+    // One option set for every eIM driver; the checks above keep spill and
+    // OOM degrade to a single device.
+    eim_impl::EimOptions eim_options;
+    eim_options.log_encode = !opt.no_log_encoding;
+    eim_options.eliminate_sources = !opt.no_source_elim;
+    if (opt.draw_mode == "skip") eim_options.draw_mode = eim_impl::DrawMode::Skip;
+    if (opt.oom_degrade) eim_options.oom_policy = eim_impl::OomPolicy::Degrade;
+    eim_options.metrics = &registry;
+    eim_options.trace = trace;
+    eim_options.profile = profile;
+    eim_options.checkpoint_dir = checkpoint_dir;
+    eim_options.resume = ckpt.has_value() ? &*ckpt : nullptr;
+    if (spill_requested) {
+      eim_options.spill.policy = opt.spill_policy == "degrade"
+                                     ? eim_impl::SpillPolicy::SpillThenDegrade
+                                     : eim_impl::SpillPolicy::Spill;
+      eim_options.spill.device_budget_bytes = opt.device_mem_budget;
+      eim_options.spill.host_budget_bytes = opt.spill_host_budget;
+      eim_options.spill.dir = opt.spill_dir;
+    }
     if (opt.algo == "serial") {
       const auto serial = imm::run_imm_serial(g, opt.model, opt.params, profile);
       static_cast<imm::ImmResult&>(result) = serial;
@@ -481,22 +507,11 @@ int main(int argc, char** argv) {
       spec.node.device = gpusim::make_benchmark_device(opt.memory_mb);
       gpusim::Cluster cluster(spec);
       cluster.set_fault_plan(opt.cluster_faults);
-      eim_impl::EimOptions options;
-      options.log_encode = !opt.no_log_encoding;
-      options.eliminate_sources = !opt.no_source_elim;
-      if (opt.draw_mode == "skip") options.draw_mode = eim_impl::DrawMode::Skip;
-      if (opt.oom_degrade) options.oom_policy = eim_impl::OomPolicy::Degrade;
-      options.metrics = &registry;
-      options.trace = trace;
-      options.profile = profile;
-      options.checkpoint_dir = checkpoint_dir;
-      options.resume = ckpt.has_value() ? &*ckpt : nullptr;
       eim_impl::MultiNodeOptions node_options;
       node_options.quorum = opt.quorum;
       node_options.node_degrade = opt.node_degrade;
-      const auto clustered = eim_impl::run_eim_cluster(cluster, g, opt.model,
-                                                       opt.params, options,
-                                                       node_options);
+      const auto clustered = eim_impl::run_eim_cluster(cluster, g, opt.model, opt.params,
+                                                       eim_options, node_options);
       result = clustered;
       cluster_result = clustered;
       if (!machine_stdout) {
@@ -518,17 +533,8 @@ int main(int argc, char** argv) {
             gpusim::make_benchmark_device(opt.memory_mb)));
         ptrs.push_back(owned.back().get());
       }
-      eim_impl::EimOptions options;
-      options.log_encode = !opt.no_log_encoding;
-      options.eliminate_sources = !opt.no_source_elim;
-      if (opt.draw_mode == "skip") options.draw_mode = eim_impl::DrawMode::Skip;
-      if (opt.oom_degrade) options.oom_policy = eim_impl::OomPolicy::Degrade;
-      options.metrics = &registry;
-      options.trace = trace;
-      options.profile = profile;
-      options.checkpoint_dir = checkpoint_dir;
-      options.resume = ckpt.has_value() ? &*ckpt : nullptr;
-      const auto multi = eim_impl::run_eim_multi(ptrs, g, opt.model, opt.params, options);
+      const auto multi =
+          eim_impl::run_eim_multi(ptrs, g, opt.model, opt.params, eim_options);
       result = multi;
       if (!machine_stdout) {
         std::printf("devices: %u (communication %.3f ms)\n", multi.num_devices,
@@ -537,25 +543,7 @@ int main(int argc, char** argv) {
     } else {
       gpusim::Device device(gpusim::make_benchmark_device(opt.memory_mb));
       if (opt.algo == "eim") {
-        eim_impl::EimOptions options;
-        options.log_encode = !opt.no_log_encoding;
-        options.eliminate_sources = !opt.no_source_elim;
-        if (opt.draw_mode == "skip") options.draw_mode = eim_impl::DrawMode::Skip;
-        if (opt.oom_degrade) options.oom_policy = eim_impl::OomPolicy::Degrade;
-        options.metrics = &registry;
-        options.trace = trace;
-        options.profile = profile;
-        options.checkpoint_dir = checkpoint_dir;
-        options.resume = ckpt.has_value() ? &*ckpt : nullptr;
-        if (spill_requested) {
-          options.spill.policy = opt.spill_policy == "degrade"
-                                     ? eim_impl::SpillPolicy::SpillThenDegrade
-                                     : eim_impl::SpillPolicy::Spill;
-          options.spill.device_budget_bytes = opt.device_mem_budget;
-          options.spill.host_budget_bytes = opt.spill_host_budget;
-          options.spill.dir = opt.spill_dir;
-        }
-        result = eim_impl::run_eim(device, g, opt.model, opt.params, options);
+        result = eim_impl::run_eim(device, g, opt.model, opt.params, eim_options);
       } else if (opt.algo == "gim") {
         result = baselines::run_gim(device, g, opt.model, opt.params);
       } else if (opt.algo == "curipples") {
