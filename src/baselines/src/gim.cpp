@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cassert>
 
+#include "eim/diffusion/traversal.hpp"
 #include "eim/eim/rrr_collection.hpp"
 #include "eim/eim/seed_selector.hpp"
 #include "eim/imm/driver.hpp"
 #include "eim/imm/imm.hpp"
 #include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
-#include "eim/support/ic_sweep.hpp"
 #include "eim/support/rng.hpp"
 
 namespace eim::baselines {
@@ -21,6 +20,7 @@ using eim_impl::EimResult;
 using graph::VertexId;
 using gpusim::BlockContext;
 using support::RandomStream;
+namespace traversal = diffusion::traversal;
 
 namespace {
 
@@ -41,7 +41,6 @@ class GimSampler {
         config_(config),
         num_blocks_(device.spec().num_sms * 2) {
     scratch_.resize(num_blocks_);
-    for (auto& s : scratch_) s.stamp.assign(g.num_vertices(), 0);
     // Each block keeps its visited bitmap M in global memory (the queue
     // itself lives in shared memory until it spills).
     bitmap_pool_ = gpusim::DeviceBuffer<std::uint8_t>(
@@ -99,14 +98,14 @@ class GimSampler {
           ctx.charge_atomic_global(1);
           const std::uint64_t sample_index = pending[slot];
           generate(ctx, scratch, sample_index);
-          std::sort(scratch.queue.begin(), scratch.queue.end());
-          if (collection.try_commit(sample_index, scratch.queue)) {
-            charge_commit(ctx, scratch,
-                          static_cast<std::uint32_t>(scratch.queue.size()));
+          std::vector<VertexId>& set = scratch.walk.queue;
+          std::sort(set.begin(), set.end());
+          if (collection.try_commit(sample_index, set)) {
+            charge_commit(ctx, scratch, static_cast<std::uint32_t>(set.size()));
           } else {
             scratch.failed.push_back(sample_index);
             scratch.max_failed_len =
-                std::max<std::uint64_t>(scratch.max_failed_len, scratch.queue.size());
+                std::max<std::uint64_t>(scratch.max_failed_len, set.size());
           }
         }
       });
@@ -131,10 +130,7 @@ class GimSampler {
 
  private:
   struct BlockScratch {
-    std::vector<VertexId> queue;
-    std::vector<std::uint32_t> stamp;
-    support::FloatDrawBuffer draws;  ///< bulk activation draws (IC BFS)
-    std::uint32_t epoch = 0;
+    traversal::Scratch walk;
     std::vector<std::uint64_t> failed;
     std::uint64_t max_failed_len = 0;  ///< largest set that failed to fit
     bool spilled = false;          ///< this block's queue escaped shared memory
@@ -169,115 +165,55 @@ class GimSampler {
     }
   }
 
+  /// Prices the traversal core's events for gIM's kernel: a shared-memory
+  /// queue that spills to a malloc'd global buffer once it outgrows the
+  /// shared budget, and the serialized shared-sum LT activation.
+  struct GimMeter {
+    GimSampler& sampler;
+    BlockContext& ctx;
+    BlockScratch& scratch;
+
+    void dequeue() { scratch.spilled ? ctx.charge_global(1) : ctx.charge_shared(1); }
+    void slice(std::size_t deg) {
+      const std::uint64_t chunks = warp_chunks(deg, ctx.warp_size());
+      ctx.charge_global(3 * chunks);
+      ctx.charge_alu(chunks);
+    }
+    /// Queue write at length `len`. The spill itself mallocs a global
+    /// buffer and copies the shared contents out.
+    void activate(std::size_t len) {
+      if (!scratch.spilled && len > sampler.config_.shared_queue_entries) {
+        scratch.spilled = true;
+        sampler.charge_malloc(ctx, len * sizeof(VertexId) * 2);
+        ctx.charge_global(warp_chunks(len, ctx.warp_size()));  // evacuate
+      }
+      if (scratch.spilled) {
+        ctx.charge_global(1);
+        ctx.charge_atomic_global(1);
+      } else {
+        ctx.charge_shared(1);
+        ctx.charge_atomic_shared(1);
+      }
+    }
+    void draw() { ctx.charge_alu(1); }
+    void lt_scan(std::size_t deg, std::size_t stop) {
+      traversal::for_each_lt_chunk(deg, stop, ctx.warp_size(), [&](std::size_t lanes) {
+        ctx.charge_global(2);
+        ctx.charge_atomic_shared(lanes);
+      });
+    }
+  };
+
   void generate(BlockContext& ctx, BlockScratch& scratch, std::uint64_t sample_index) {
     RandomStream rng(params_.rng_seed,
                      support::derive_stream(imm::kSampleStreamTag, sample_index, 0));
     const VertexId source = rng.next_below(graph_->num_vertices());
     ctx.charge_alu(2);
-
-    if (++scratch.epoch == 0) {
-      std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0u);
-      scratch.epoch = 1;
-    }
-    scratch.queue.clear();
-    scratch.queue.push_back(source);
-    scratch.stamp[source] = scratch.epoch;
+    scratch.walk.begin(graph_->num_vertices(), source);
     scratch.spilled = false;
-
-    if (model_ == graph::DiffusionModel::IndependentCascade) {
-      bfs_ic(ctx, scratch, rng);
-    } else {
-      walk_lt(ctx, scratch, rng);
-    }
-  }
-
-  /// Queue-write cost: shared memory while the queue fits, global after the
-  /// spill. The spill itself mallocs a global buffer and copies the shared
-  /// contents out.
-  void charge_enqueue(BlockContext& ctx, BlockScratch& scratch,
-                      std::size_t queue_size) {
-    if (!scratch.spilled && queue_size > config_.shared_queue_entries) {
-      scratch.spilled = true;
-      charge_malloc(ctx, queue_size * sizeof(VertexId) * 2);
-      ctx.charge_global(warp_chunks(queue_size, ctx.warp_size()));  // evacuate
-    }
-    if (scratch.spilled) {
-      ctx.charge_global(1);
-      ctx.charge_atomic_global(1);
-    } else {
-      ctx.charge_shared(1);
-      ctx.charge_atomic_shared(1);
-    }
-  }
-
-  void bfs_ic(BlockContext& ctx, BlockScratch& scratch, RandomStream& rng) {
-    const graph::Graph& g = *graph_;
-    const std::uint32_t warp = ctx.warp_size();
-    // Bulk-filled draw buffer and demand-sized refills, exactly as in
-    // EimSampler::bfs_ic; the shared sweep keeps the draw order.
-    support::FloatDrawBuffer& draws = scratch.draws;
-    auto c = draws.begin_sample(rng);
-    std::size_t pending = g.in().neighbors(scratch.queue.front()).size();
-    for (std::size_t head = 0; head < scratch.queue.size(); ++head) {
-      const VertexId u = scratch.queue[head];
-      if (scratch.spilled) {
-        ctx.charge_global(1);
-      } else {
-        ctx.charge_shared(1);
-      }
-      const auto ins = g.in().neighbors(u);
-      ctx.charge_global(3 * warp_chunks(ins.size(), warp));
-      ctx.charge_alu(warp_chunks(ins.size(), warp));
-      c = draws.ensure(c, rng, ins.size(), pending);
-      support::ic_sweep(ins, g.in_weights(u), scratch.stamp, scratch.epoch, c,
-                        [&](VertexId v) {
-                          scratch.queue.push_back(v);
-                          pending += g.in().neighbors(v).size();
-                          charge_enqueue(ctx, scratch, scratch.queue.size());
-                        });
-      pending -= ins.size();
-    }
-    draws.finish_sample(rng, c);
-  }
-
-  void walk_lt(BlockContext& ctx, BlockScratch& scratch, RandomStream& rng) {
-    const graph::Graph& g = *graph_;
-    const std::uint32_t warp = ctx.warp_size();
-    VertexId u = scratch.queue.front();
-    for (;;) {
-      const auto ins = g.in().neighbors(u);
-      const auto ws = g.in_weights(u);
-      if (ins.empty()) break;
-      const float tau = rng.next_float();
-      ctx.charge_alu(1);
-
-      VertexId chosen = graph::kInvalidVertex;
-      float base = 0.0f;
-      for (std::size_t chunk = 0; chunk < ins.size() && chosen == graph::kInvalidVertex;
-           chunk += warp) {
-        const std::size_t len = std::min<std::size_t>(warp, ins.size() - chunk);
-        ctx.charge_global(2);
-        // gIM's LT activation uses the serialized shared-sum design.
-        ctx.charge_atomic_shared(len);
-        float running = base;
-        for (std::size_t l = 0; l < len; ++l) {
-          const float inclusive = running + ws[chunk + l];
-          if (inclusive > tau && running <= tau) {
-            chosen = ins[chunk + l];
-            break;
-          }
-          running = inclusive;
-        }
-        base = running;
-      }
-
-      if (chosen == graph::kInvalidVertex) break;
-      if (scratch.stamp[chosen] == scratch.epoch) break;
-      scratch.stamp[chosen] = scratch.epoch;
-      scratch.queue.push_back(chosen);
-      charge_enqueue(ctx, scratch, scratch.queue.size());
-      u = chosen;
-    }
+    traversal::Exact exact(graph_->in(), graph_->all_in_weights());
+    GimMeter meter{*this, ctx, scratch};
+    traversal::run(model_, scratch.walk, rng, exact, meter);
   }
 
   /// Commit: write the queue into the block's temporary global RRR buffer,

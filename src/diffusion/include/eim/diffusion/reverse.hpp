@@ -3,12 +3,10 @@
 // These are the textbook single-threaded samplers of Borgs et al. / Tang et
 // al.: an RRR set for source s is the set of vertices that would activate s
 // in a forward cascade, computed by running the diffusion *backwards* from
-// s. The GPU-simulator kernels in eim/eim and eim/baselines must agree with
-// these in distribution — that equivalence is property-tested.
-//
-// The IC sampler's per-edge loop is support::ic_sweep, the same sweep the
-// eIM and gIM kernels call, so their draw-for-draw parity holds by
-// construction rather than by three hand-kept copies.
+// s. Both models run the shared traversal core (traversal.hpp) with exact
+// draws and no cost meter — the same IC BFS and LT walk the eIM and gIM
+// kernels run with their meters — so the kernels' exact-mode collections
+// equal this sampler's set for set, for both models, by construction.
 //
 // Conventions shared with the kernels:
 //  * the returned set is sorted ascending by vertex id (§3.2's ordering that
@@ -19,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "eim/diffusion/traversal.hpp"
 #include "eim/graph/graph.hpp"
 #include "eim/graph/weights.hpp"
 #include "eim/support/rng.hpp"
@@ -47,21 +46,14 @@ class RrrSampler {
   /// the internal FloatDrawBuffer, which only times fills of at least
   /// FloatDrawBuffer::kTimedRefillDraws draws.
   void attach_refill_timer(support::profiler::WallTimer* timer) noexcept {
-    draws_.attach_refill_timer(timer);
+    scratch_.draws.attach_refill_timer(timer);
   }
 
  private:
-  void sample_ic(graph::VertexId source, support::RandomStream& rng,
-                 std::vector<graph::VertexId>& out);
-  void sample_lt(graph::VertexId source, support::RandomStream& rng,
-                 std::vector<graph::VertexId>& out);
-
   const graph::Graph* graph_;
   graph::DiffusionModel model_;
   bool eliminate_source_;
-  std::vector<std::uint32_t> stamp_;  ///< visited iff stamp_[v] == epoch_
-  std::uint32_t epoch_ = 0;
-  support::FloatDrawBuffer draws_;    ///< bulk activation draws (IC BFS)
+  traversal::Scratch scratch_;
 };
 
 /// IC reverse sampler: probabilistic reverse BFS from `source`; each in-edge

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "eim/diffusion/traversal.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/rng.hpp"
 #include "eim/support/stats.hpp"
@@ -18,56 +19,18 @@ constexpr std::uint64_t kLtForwardTag = 0x4C544657u;  // "LTFW"
 
 std::uint32_t simulate_ic(const graph::Graph& g, std::span<const VertexId> seeds,
                           std::uint64_t seed, std::uint64_t trial) {
+  for (const VertexId s : seeds) EIM_CHECK_MSG(s < g.num_vertices(), "seed out of range");
   RandomStream rng(seed, support::derive_stream(kIcForwardTag, trial));
-  std::vector<bool> active(g.num_vertices(), false);
-  std::vector<VertexId> frontier;
-  std::uint32_t activated = 0;
-
-  for (const VertexId s : seeds) {
-    EIM_CHECK_MSG(s < g.num_vertices(), "seed out of range");
-    if (!active[s]) {
-      active[s] = true;
-      frontier.push_back(s);
-      ++activated;
-    }
-  }
-
-  // Bulk-filled draws, one per inactive out-neighbor in stream order (the
-  // same sequence next_float() would produce; see RrrSampler::sample_ic).
-  // `pending` tracks the out-degree sum of not-yet-swept frontier vertices
-  // so each refill is sized to the frontier's actual draw demand.
-  support::FloatDrawBuffer draws;
-  auto c = draws.begin_sample(rng);
-  std::size_t pending = 0;
-  for (const VertexId s : frontier) pending += g.out().neighbors(s).size();
-  std::vector<VertexId> next;
-  while (!frontier.empty()) {
-    next.clear();
-    for (const VertexId u : frontier) {
-      const auto vs = g.out().neighbors(u);
-      const auto ws = g.out_weights(u);
-      c = draws.ensure(c, rng, vs.size(), pending);
-      std::size_t t = 0;
-      for (std::size_t j = 0; j < vs.size(); ++j) {
-        const VertexId v = vs[j];
-        if (active[v]) continue;
-        // Strict <, matching the reverse samplers: zero-weight edges never
-        // activate, and P(draw < w) = w on the 2^-24 draw grid.
-        if (c.p[t++] < ws[j]) {
-          active[v] = true;
-          next.push_back(v);
-          ++activated;
-          pending += g.out().neighbors(v).size();
-        }
-      }
-      c.p += t;
-      c.avail -= t;
-      pending -= vs.size();
-    }
-    frontier.swap(next);
-  }
-  draws.finish_sample(rng, c);
-  return activated;
+  // The deduplicated seeds are the BFS's initial queue and out-edges its
+  // slices, so vertices are visited level by level, each level in
+  // activation order. One visited array per thread serves every cascade
+  // (greedy MC and spread estimation run millions of small ones).
+  thread_local traversal::Scratch scratch;
+  scratch.begin(g.num_vertices(), seeds);
+  traversal::Exact exact(g.out(), g.all_out_weights());
+  traversal::NullMeter meter;
+  traversal::ic_bfs(scratch, rng, exact, meter);
+  return static_cast<std::uint32_t>(scratch.queue.size());
 }
 
 std::uint32_t simulate_lt(const graph::Graph& g, std::span<const VertexId> seeds,

@@ -11,15 +11,17 @@
 //
 // Determinism contract: sample i draws from the stream
 // (rng_seed, derive_stream(imm::kSampleStreamTag, i, attempt)) and consumes
-// randomness in CSC order — the exact contract of the serial reference, and
-// in IC literally the same edge loop (support::ic_sweep) — so
-// eIM produces the *identical* collection R as run_imm_serial for identical
-// parameters, which the integration tests assert.
+// randomness in CSC order through the same traversal code as the serial
+// reference (diffusion/traversal.hpp, both models) — so eIM produces the
+// *identical* collection R as run_imm_serial for identical parameters,
+// which the integration tests assert.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "eim/diffusion/traversal.hpp"
 #include "eim/eim/options.hpp"
 #include "eim/eim/rrr_collection.hpp"
 #include "eim/gpusim/device.hpp"
@@ -86,48 +88,21 @@ class EimSampler {
 
  private:
   struct BlockScratch {
-    std::vector<graph::VertexId> queue;   ///< this block's global-pool slice
-    std::vector<std::uint32_t> stamp;     ///< M as an epoch-stamped array
-    support::FloatDrawBuffer draws;       ///< bulk activation draws (IC BFS)
-    std::uint32_t epoch = 0;
+    diffusion::traversal::Scratch walk;  ///< queue = this block's pool slice
+    /// Fast-draw policy (holds the SoA frontier and the skip counters,
+    /// flushed per wave); engaged only when plan_ is.
+    std::optional<diffusion::traversal::Skip> skip;
     std::vector<std::uint64_t> failed;    ///< commits deferred to next wave
     std::uint64_t max_failed_len = 0;     ///< largest set that failed to fit
     std::uint64_t discarded = 0;          ///< committed samples' regen count
-    // Struct-of-arrays frontier for the fast-draw BFS: each queue entry's
-    // CSC slice and weight class, cached at enqueue so the sweep streams
-    // flat arrays instead of re-touching the offset table per vertex.
-    std::vector<graph::EdgeId> frontier_begin;
-    std::vector<std::uint32_t> frontier_len;
-    std::vector<std::uint8_t> frontier_kind;
-    std::uint64_t draws_skipped = 0;  ///< Bernoulli draws avoided (flushed per wave)
-    std::uint64_t alias_picks = 0;    ///< O(1) LT picks taken (flushed per wave)
   };
 
-  /// Generate the RRR set for `sample_index` into scratch.queue; returns
-  /// the number of singleton regenerations performed for this sample.
+  /// Generate the RRR set for `sample_index` into scratch.walk.queue through
+  /// the shared traversal core (diffusion/traversal.hpp): the exact draws
+  /// the serial reference and gIM run, or the DrawPlan fast draws when
+  /// plan_ is set. Returns the singleton regenerations it performed.
   std::uint32_t generate(gpusim::BlockContext& ctx, BlockScratch& scratch,
                          std::uint64_t sample_index);
-
-  /// Exact IC reverse BFS (Alg. 2 l.11-20). Each frontier vertex's
-  /// in-edge slice goes through support::ic_sweep — the edge loop shared
-  /// with the serial reference and the gIM baseline, AVX-512 where the host
-  /// has it — while this body keeps the per-vertex and per-activation cost
-  /// charges.
-  void bfs_ic(gpusim::BlockContext& ctx, BlockScratch& scratch,
-              graph::VertexId source, support::RandomStream& rng);
-  void walk_lt(gpusim::BlockContext& ctx, BlockScratch& scratch,
-               graph::VertexId source, support::RandomStream& rng);
-
-  // Fast-draw variants (DrawMode::Skip, docs/PERFORMANCE.md "Draw
-  // efficiency"): geometric skip-ahead over uniform-weight vertices and
-  // O(1) alias-table picks, driven by the graph's DrawPlan sidecar. They
-  // consume the per-sample RNG stream differently from the exact kernels —
-  // still a pure function of (rng_seed, global id), so resume/spill/
-  // multi-GPU determinism holds within the mode.
-  void bfs_ic_skip(gpusim::BlockContext& ctx, BlockScratch& scratch,
-                   graph::VertexId source, support::RandomStream& rng);
-  void walk_lt_skip(gpusim::BlockContext& ctx, BlockScratch& scratch,
-                    graph::VertexId source, support::RandomStream& rng);
 
   /// Meter the sort + commit traffic for a finished set of length `len`.
   void charge_commit(gpusim::BlockContext& ctx, std::uint32_t len) const;

@@ -291,9 +291,11 @@ void publish_checkpoint(CheckpointState& state, const graph::Graph& g,
   state.round = round;
   support::metrics::MetricsRegistry* metrics = options.metrics;
   if (metrics != nullptr) {
+    // No wall seconds: a resumed run's phase wall counts only its own
+    // process, and identical runs write identical bytes.
     std::ostringstream snapshot;
     support::JsonWriter w(snapshot);
-    metrics->write_json(w);
+    metrics->write_json(w, /*with_wall=*/false);
     state.metrics_json = snapshot.str();
   }
   const std::uint64_t bytes = save_checkpoint(options.checkpoint_dir, state);

@@ -1,14 +1,11 @@
 #include "eim/eim/sampler.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 
 #include "eim/graph/draw_plan.hpp"
 #include "eim/imm/imm.hpp"
 #include "eim/support/bits.hpp"
 #include "eim/support/error.hpp"
-#include "eim/support/ic_sweep.hpp"
 #include "eim/support/metrics.hpp"
 #include "eim/support/profiler.hpp"
 #include "eim/support/retry.hpp"
@@ -20,6 +17,7 @@ namespace eim::eim_impl {
 using graph::VertexId;
 using gpusim::BlockContext;
 using support::RandomStream;
+namespace traversal = diffusion::traversal;
 
 namespace {
 
@@ -27,6 +25,43 @@ namespace {
 std::uint64_t warp_chunks(std::uint64_t count, std::uint32_t warp) {
   return support::div_ceil<std::uint64_t>(count, warp);
 }
+
+/// Prices the traversal core's events as Algorithm 2's one-warp kernel
+/// issues them (traversal.hpp lists the hooks).
+struct EimMeter {
+  BlockContext& ctx;
+  bool atomic_add_lt;  ///< LtActivationMethod::AtomicAdd ablation
+
+  std::uint64_t chunks(std::size_t n) const { return warp_chunks(n, ctx.warp_size()); }
+
+  void dequeue() { ctx.charge_global(1); }  // read Q front
+  // Lanes sweep the slice in warp-sized chunks: neighbor ids, weights and M
+  // lookups are one coalesced transaction each, plus rng + compare per lane.
+  void slice(std::size_t deg) {
+    ctx.charge_global(3 * chunks(deg));
+    ctx.charge_alu(chunks(deg));
+  }
+  void activate(std::size_t) {
+    ctx.charge_global(1);         // M store + Q store (write-combined)
+    ctx.charge_atomic_global(1);  // atomicAdd on q_tail (Alg. 2 l.20)
+  }
+  void draw() { ctx.charge_alu(1); }
+  void probe() { ctx.charge_global(1); }
+  void broadcast(std::size_t deg) { ctx.charge_global(2 * chunks(deg)); }  // ids + M
+  // §3.3: per warp chunk up to the one holding the pick, the ids + weights
+  // loads, the __shfl_up_sync inclusive-scan ladder and the ballot. The
+  // AtomicAdd ablation adds §3.3's rejected shared sum: one atomic per lane
+  // on the same address.
+  void lt_scan(std::size_t deg, std::size_t stop) {
+    const std::uint32_t steps = support::ceil_log2(ctx.warp_size());
+    traversal::for_each_lt_chunk(deg, stop, ctx.warp_size(), [&](std::size_t lanes) {
+      ctx.charge_global(2);
+      ctx.charge_shuffle(steps);
+      ctx.charge_alu(steps + 1);
+      if (atomic_add_lt) ctx.charge_atomic_shared(lanes);
+    });
+  }
+};
 
 }  // namespace
 
@@ -49,10 +84,10 @@ EimSampler::EimSampler(gpusim::Device& device, const graph::Graph& g,
       support::div_ceil<std::uint64_t>(g.num_vertices(), 8);
   pool_charge_ = device.alloc<std::uint8_t>(per_block * num_blocks_);
 
-  // Scratch stamps are allocated lazily on a block's first wave (see
-  // generate()): eagerly zeroing n words per block here is an O(n · blocks)
-  // page-touch that multi-GPU runs repeat per device, and blocks beyond the
-  // pending-sample count never run at all.
+  // Scratch stamps are allocated lazily on a block's first sample
+  // (traversal::Scratch::begin): eagerly zeroing n words per block here is
+  // an O(n · blocks) page-touch that multi-GPU runs repeat per device, and
+  // blocks beyond the pending-sample count never run at all.
   if (options.draw_mode == DrawMode::Skip) {
     const graph::DrawPlan* plan = g.draw_plan();
     if (plan != nullptr && plan->model == model) {
@@ -67,9 +102,10 @@ EimSampler::EimSampler(gpusim::Device& device, const graph::Graph& g,
   support::profiler::WallTimer* refill_timer =
       options.profile != nullptr ? &options.profile->timer("rng.refill") : nullptr;
   for (auto& s : scratch_) {
-    s.queue.reserve(64);
+    s.walk.queue.reserve(64);
     // All blocks share one refill timer; the histogram is lock-free.
-    s.draws.attach_refill_timer(refill_timer);
+    s.walk.draws.attach_refill_timer(refill_timer);
+    if (plan_ != nullptr) s.skip.emplace(g, *plan_);
   }
 }
 
@@ -214,21 +250,22 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
             const PendingSample sample = pending[slot];
             const std::uint32_t regenerated =
                 generate(ctx, scratch, sample.global_id);
+            const std::vector<VertexId>& set = scratch.walk.queue;
 
             // Sort + commit (Fig. 2). Source elimination already happened
             // inside generate(); queue holds the final sorted set.
-            if (collection.try_commit(sample.local_slot, scratch.queue)) {
+            if (collection.try_commit(sample.local_slot, set)) {
               // Final queue length = the RRR set this sample produced (post
               // source elimination); lock-free, safe from pool threads.
               // Observed only here: a capacity-failed sample re-runs next
               // wave and would otherwise be counted once per attempt.
-              if (queue_depth_h != nullptr) queue_depth_h->observe(scratch.queue.size());
-              charge_commit(ctx, static_cast<std::uint32_t>(scratch.queue.size()));
+              if (queue_depth_h != nullptr) queue_depth_h->observe(set.size());
+              charge_commit(ctx, static_cast<std::uint32_t>(set.size()));
               scratch.discarded += regenerated;
             } else {
               scratch.failed.push_back(slot);
               scratch.max_failed_len =
-                  std::max<std::uint64_t>(scratch.max_failed_len, scratch.queue.size());
+                  std::max<std::uint64_t>(scratch.max_failed_len, set.size());
             }
           }
         };
@@ -253,10 +290,11 @@ void EimSampler::sample_assigned(DeviceRrrCollection& collection,
       singletons_discarded_ += s.discarded;
       if (regens_c != nullptr) regens_c->add(s.discarded);
       s.discarded = 0;
-      if (draws_skipped_c != nullptr) draws_skipped_c->add(s.draws_skipped);
-      if (alias_picks_c != nullptr) alias_picks_c->add(s.alias_picks);
-      s.draws_skipped = 0;
-      s.alias_picks = 0;
+      if (s.skip.has_value()) {
+        if (draws_skipped_c != nullptr) draws_skipped_c->add(s.skip->draws_skipped);
+        if (alias_picks_c != nullptr) alias_picks_c->add(s.skip->alias_picks);
+        s.skip->draws_skipped = s.skip->alias_picks = 0;
+      }
       max_failed_len = std::max(max_failed_len, s.max_failed_len);
       s.max_failed_len = 0;
     }
@@ -286,7 +324,7 @@ void EimSampler::resample_set(std::uint64_t global_id,
         device_->launch_blocks("eim::resample", 1, [&](gpusim::BlockContext& ctx) {
           BlockScratch& scratch = scratch_[ctx.block_id()];
           generate(ctx, scratch, global_id);
-          out.assign(scratch.queue.begin(), scratch.queue.end());
+          out.assign(scratch.walk.queue.begin(), scratch.walk.queue.end());
         });
       },
       [&](std::uint32_t /*attempt*/, double backoff,
@@ -298,45 +336,28 @@ void EimSampler::resample_set(std::uint64_t global_id,
 std::uint32_t EimSampler::generate(BlockContext& ctx, BlockScratch& scratch,
                                    std::uint64_t sample_index) {
   const VertexId n = graph_->num_vertices();
+  traversal::Scratch& walk = scratch.walk;
+  EimMeter meter{ctx, options_.lt_activation == LtActivationMethod::AtomicAdd};
   std::uint32_t regenerated = 0;
 
   for (std::uint32_t attempt = 0;; ++attempt) {
-    RandomStream rng(params_.rng_seed,
-                     support::derive_stream(imm::kSampleStreamTag, sample_index, attempt));
+    RandomStream rng(params_.rng_seed, support::derive_stream(imm::kSampleStreamTag,
+                                                              sample_index, attempt));
     const VertexId source = rng.next_below(n);
     ctx.charge_alu(2);  // lane 0 picks the source, seeds head/tail (Alg. 2 l.5-10)
-
-    // First use of this block's scratch: materialize the stamp array now
-    // (constructor defers it so idle blocks never pay the n-word touch).
-    if (scratch.stamp.empty()) scratch.stamp.assign(n, 0);
-    // Fresh epoch == "initialize M" without touching n words every sample.
-    if (++scratch.epoch == 0) {
-      std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0u);
-      scratch.epoch = 1;
-    }
-    scratch.queue.clear();
-    scratch.queue.push_back(source);
-    scratch.stamp[source] = scratch.epoch;
-
-    if (model_ == graph::DiffusionModel::IndependentCascade) {
-      if (plan_ != nullptr) {
-        bfs_ic_skip(ctx, scratch, source, rng);
-      } else {
-        bfs_ic(ctx, scratch, source, rng);
-      }
+    walk.begin(n, source);
+    if (scratch.skip.has_value()) {
+      traversal::run(model_, walk, rng, *scratch.skip, meter);
     } else {
-      if (plan_ != nullptr) {
-        walk_lt_skip(ctx, scratch, source, rng);
-      } else {
-        walk_lt(ctx, scratch, source, rng);
-      }
+      traversal::Exact exact(graph_->in(), graph_->all_in_weights());
+      traversal::run(model_, walk, rng, exact, meter);
     }
 
     if (options_.eliminate_sources) {
       // Queue slot 0 always holds the source.
-      scratch.queue.erase(scratch.queue.begin());
+      walk.queue.erase(walk.queue.begin());
       ctx.charge_alu(1);
-      if (scratch.queue.empty() && attempt + 1 < imm::kMaxRegenerationAttempts) {
+      if (walk.queue.empty() && attempt + 1 < imm::kMaxRegenerationAttempts) {
         ++regenerated;
         continue;  // §3.4: throw the singleton away, draw a fresh sample
       }
@@ -344,253 +365,8 @@ std::uint32_t EimSampler::generate(BlockContext& ctx, BlockScratch& scratch,
     break;
   }
 
-  std::sort(scratch.queue.begin(), scratch.queue.end());
+  std::sort(walk.queue.begin(), walk.queue.end());
   return regenerated;
-}
-
-void EimSampler::bfs_ic(BlockContext& ctx, BlockScratch& scratch, VertexId source,
-                        RandomStream& rng) {
-  const graph::Graph& g = *graph_;
-  const std::uint32_t warp = ctx.warp_size();
-
-  // Per-level draw buffer: activation draws are generated in bulk
-  // (fill_floats) ahead of each edge sweep, so the sweep compares
-  // precomputed draws against weights instead of calling Philox per edge.
-  // finish_sample rewinds the stream to what was actually taken.
-  support::FloatDrawBuffer& draws = scratch.draws;
-  auto c = draws.begin_sample(rng);
-  // In-degree sum of queued-but-unswept vertices — the frontier's exact
-  // remaining draw demand. Refills are sized to it, so a cascade that dies
-  // young costs no more Philox blocks than the scalar loop would.
-  std::size_t pending = g.in().neighbors(source).size();
-
-  // Warp-wide probabilistic BFS (Alg. 2 lines 11-20). The queue IS the
-  // visited set; head walks forward, tail grows as lanes activate
-  // in-neighbors.
-  for (std::size_t head = 0; head < scratch.queue.size(); ++head) {
-    const VertexId u = scratch.queue[head];
-    ctx.charge_global(1);  // read Q front
-
-    const auto ins = g.in().neighbors(u);
-    // Lanes sweep the in-edge list in warp-sized chunks: neighbor ids,
-    // weights, and M lookups are each one coalesced transaction per chunk.
-    ctx.charge_global(3 * warp_chunks(ins.size(), warp));
-    ctx.charge_alu(warp_chunks(ins.size(), warp));  // rng + compare per lane
-
-    c = draws.ensure(c, rng, ins.size(), pending);
-    support::ic_sweep(ins, g.in_weights(u), scratch.stamp, scratch.epoch, c,
-                      [&](VertexId v) {
-                        scratch.queue.push_back(v);
-                        pending += g.in().neighbors(v).size();
-                        ctx.charge_global(1);         // M store + Q store (write-combined)
-                        ctx.charge_atomic_global(1);  // atomicAdd on q_tail (Alg. 2 l.20)
-                      });
-    pending -= ins.size();
-  }
-  draws.finish_sample(rng, c);
-}
-
-void EimSampler::walk_lt(BlockContext& ctx, BlockScratch& scratch, VertexId source,
-                         RandomStream& rng) {
-  const graph::Graph& g = *graph_;
-  const std::uint32_t warp = ctx.warp_size();
-
-  // §3.3: thread 0 draws tau for the dequeued vertex; the warp prefix-scans
-  // in-edge weights and the unique lane whose inclusive sum first crosses
-  // tau activates its neighbor. At most one vertex joins per step, so the
-  // queue is a walk.
-  VertexId u = source;
-  for (;;) {
-    const auto ins = g.in().neighbors(u);
-    const auto ws = g.in_weights(u);
-    if (ins.empty()) break;
-
-    const float tau = rng.next_float();
-    ctx.charge_alu(1);
-
-    VertexId chosen = graph::kInvalidVertex;
-    float base = 0.0f;
-    for (std::size_t chunk = 0; chunk < ins.size(); chunk += warp) {
-      const std::size_t len = std::min<std::size_t>(warp, ins.size() - chunk);
-      ctx.charge_global(2);  // neighbors + weights, one transaction each
-
-      // Real inclusive scan over this chunk's weights (metered as the
-      // __shfl_up_sync ladder).
-      float lane_vals[32];
-      for (std::size_t l = 0; l < len; ++l) lane_vals[l] = ws[chunk + l];
-      ctx.warp_inclusive_scan(std::span<float>(lane_vals, len));
-
-      bool lane_hit[32];
-      for (std::size_t l = 0; l < len; ++l) {
-        const float inclusive = base + lane_vals[l];
-        const float exclusive = base + (l == 0 ? 0.0f : lane_vals[l - 1]);
-        lane_hit[l] = inclusive > tau && exclusive <= tau;
-      }
-      const std::uint32_t mask = ctx.warp_ballot(std::span<const bool>(lane_hit, len));
-      if (options_.lt_activation == LtActivationMethod::AtomicAdd) {
-        // Ablation: the shared-sum variant serializes one atomic per lane
-        // on the same address (§3.3's rejected design). Identical result,
-        // different cost.
-        ctx.charge_atomic_shared(len);
-      }
-      if (mask != 0) {
-        chosen = ins[chunk + static_cast<std::size_t>(std::countr_zero(mask))];
-        break;
-      }
-      base += lane_vals[len - 1];
-    }
-
-    if (chosen == graph::kInvalidVertex) break;          // tau in the no-one gap
-    if (scratch.stamp[chosen] == scratch.epoch) break;   // walk closed a loop
-    scratch.stamp[chosen] = scratch.epoch;
-    scratch.queue.push_back(chosen);
-    ctx.charge_global(1);
-    ctx.charge_atomic_global(1);
-    u = chosen;
-  }
-}
-
-void EimSampler::bfs_ic_skip(BlockContext& ctx, BlockScratch& scratch,
-                             VertexId source, RandomStream& rng) {
-  const graph::Graph& g = *graph_;
-  const graph::DrawPlan& plan = *plan_;
-  const std::uint32_t warp = ctx.warp_size();
-  std::uint32_t* const stamp = scratch.stamp.data();
-  const std::uint32_t epoch = scratch.epoch;
-  const graph::EdgeId* const offsets = g.in().offsets.data();
-  const VertexId* const targets = g.in().targets.data();
-  const graph::Weight* const weights = g.all_in_weights().data();
-
-  // SoA frontier: the CSC slice and weight class of every queued vertex,
-  // captured at enqueue time. The sweep then streams flat arrays — no
-  // offset-table reload, no per-vertex plan lookup.
-  auto& fbegin = scratch.frontier_begin;
-  auto& flen = scratch.frontier_len;
-  auto& fkind = scratch.frontier_kind;
-  fbegin.clear();
-  flen.clear();
-  fkind.clear();
-  const auto push_meta = [&](VertexId v) {
-    const graph::EdgeId b = offsets[v];
-    fbegin.push_back(b);
-    flen.push_back(static_cast<std::uint32_t>(offsets[v + 1] - b));
-    fkind.push_back(plan.ic_kind[v]);
-  };
-  push_meta(source);
-
-  for (std::size_t head = 0; head < scratch.queue.size(); ++head) {
-    ctx.charge_global(1);  // read Q front + its SoA slice (one line each)
-
-    const auto kind = static_cast<graph::DrawPlan::IcKind>(fkind[head]);
-    const std::uint32_t deg = flen[head];
-    if (deg == 0 || kind == graph::DrawPlan::IcKind::Zero) {
-      // Zero: uniform weight <= 0 — no draw can succeed, skip the slice
-      // outright. deg draws avoided, zero consumed.
-      scratch.draws_skipped += deg;
-      continue;
-    }
-    const graph::EdgeId begin = fbegin[head];
-    const VertexId* const ins = targets + begin;
-
-    switch (kind) {
-      case graph::DrawPlan::IcKind::Uniform: {
-        // One uniform per failure run: jump straight to the next success.
-        // The jump counts positions over ALL in-edges (visited targets
-        // included — a success on a visited vertex is a no-op), so the
-        // per-edge Bernoulli distribution is preserved exactly.
-        const double log1m = plan.ic_log1m[scratch.queue[head]];
-        std::uint64_t draws = 1;
-        ctx.charge_alu(1);  // log + floor of the skip draw
-        std::uint64_t j = support::geometric_skip(rng, log1m);
-        while (j < deg) {
-          const VertexId v = ins[j];
-          ctx.charge_global(1);  // neighbor id gather + M probe
-          if (stamp[v] != epoch) {
-            stamp[v] = epoch;
-            scratch.queue.push_back(v);
-            push_meta(v);
-            ctx.charge_global(1);         // M store + Q store (write-combined)
-            ctx.charge_atomic_global(1);  // atomicAdd on q_tail
-          }
-          const std::uint64_t s = support::geometric_skip(rng, log1m);
-          ++draws;
-          ctx.charge_alu(1);
-          if (s >= deg - 1 - j) break;  // next success lands past the slice
-          j += 1 + s;
-        }
-        if (deg > draws) scratch.draws_skipped += deg - draws;
-        break;
-      }
-      case graph::DrawPlan::IcKind::Saturated: {
-        // Uniform weight with p_eff >= 1: every in-edge activates, no
-        // randomness consumed at all.
-        ctx.charge_global(2 * warp_chunks(deg, warp));  // ids + M probes
-        for (std::uint32_t j = 0; j < deg; ++j) {
-          const VertexId v = ins[j];
-          if (stamp[v] != epoch) {
-            stamp[v] = epoch;
-            scratch.queue.push_back(v);
-            push_meta(v);
-            ctx.charge_global(1);
-            ctx.charge_atomic_global(1);
-          }
-        }
-        scratch.draws_skipped += deg;
-        break;
-      }
-      default: {
-        // Mixed weights: exact per-edge fallback (same draw-per-unvisited-
-        // neighbor shape and the same metered cost as the exact kernel).
-        const graph::Weight* const ws = weights + begin;
-        ctx.charge_global(3 * warp_chunks(deg, warp));
-        ctx.charge_alu(warp_chunks(deg, warp));
-        for (std::uint32_t j = 0; j < deg; ++j) {
-          const VertexId v = ins[j];
-          if (stamp[v] == epoch) continue;
-          if (rng.next_float() < ws[j]) {
-            stamp[v] = epoch;
-            scratch.queue.push_back(v);
-            push_meta(v);
-            ctx.charge_global(1);
-            ctx.charge_atomic_global(1);
-          }
-        }
-        break;
-      }
-    }
-  }
-}
-
-void EimSampler::walk_lt_skip(BlockContext& ctx, BlockScratch& scratch,
-                              VertexId source, RandomStream& rng) {
-  const graph::Graph& g = *graph_;
-  const graph::DrawPlan& plan = *plan_;
-
-  // Same walk as walk_lt, but the activated in-neighbor is picked in O(1)
-  // from the vertex's Vose alias table: one uniform split into (bucket,
-  // coin) replaces the O(in-degree) warp prefix scan.
-  VertexId u = source;
-  for (;;) {
-    const graph::EdgeId begin = g.in().offsets[u];
-    const auto deg = static_cast<std::uint32_t>(g.in().offsets[u + 1] - begin);
-    if (deg == 0) break;
-
-    const float tau = rng.next_float();
-    ctx.charge_alu(1);     // lane 0 draws tau and splits (bucket, coin)
-    ctx.charge_global(1);  // alias-table gather (prob + alias, one line)
-    const std::uint32_t pick = graph::alias_pick_lt(plan, g, u, tau);
-    ++scratch.alias_picks;
-    if (pick == graph::kNoAliasPick) break;  // tau in the no-one gap
-
-    const VertexId chosen = g.in().targets[begin + pick];
-    ctx.charge_global(1);  // neighbor id gather
-    if (scratch.stamp[chosen] == scratch.epoch) break;  // walk closed a loop
-    scratch.stamp[chosen] = scratch.epoch;
-    scratch.queue.push_back(chosen);
-    ctx.charge_global(1);
-    ctx.charge_atomic_global(1);
-    u = chosen;
-  }
 }
 
 void EimSampler::charge_commit(BlockContext& ctx, std::uint32_t len) const {

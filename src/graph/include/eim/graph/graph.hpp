@@ -52,6 +52,9 @@ class Graph {
   [[nodiscard]] std::span<const Weight> all_in_weights() const noexcept {
     return in_weights_;
   }
+  [[nodiscard]] std::span<const Weight> all_out_weights() const noexcept {
+    return out_weights_;
+  }
 
   /// Mutable access for the weight-assignment routines. Invalidates the
   /// draw plan: its cached classifications describe the old weights.

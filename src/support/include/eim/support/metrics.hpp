@@ -200,7 +200,9 @@ class MetricsRegistry {
   /// Serialize the registry as one JSON object:
   /// {"counters":{...},"gauges":{...},"histograms":{...},"phases":[{...}]}.
   /// Names sort lexicographically so reports diff cleanly across runs.
-  void write_json(JsonWriter& w) const;
+  /// `with_wall = false` leaves out the phases' host wall seconds, the only
+  /// field that differs between two identical runs (checkpoint snapshots).
+  void write_json(JsonWriter& w, bool with_wall = true) const;
 
  private:
   mutable std::mutex mu_;
@@ -246,8 +248,9 @@ struct RunReport {
 
 /// Fold a registry JSON snapshot (the write_json schema) back into `into`:
 /// counters add, gauges overwrite, histograms merge their sparse buckets and
-/// totals, phase timers merge. Checkpoint resume uses this to carry the
-/// crashed run's accumulated metrics forward. Throws JsonParseError /
+/// totals, phase timers merge (a phase without wall_seconds adds none).
+/// Checkpoint resume uses this to carry the crashed run's accumulated
+/// metrics forward. Throws JsonParseError /
 /// support::Error on a document that does not follow the schema.
 void restore_registry_json(MetricsRegistry& into, std::string_view json);
 

@@ -58,7 +58,7 @@ PhaseTimer& MetricsRegistry::phase(std::string_view name) {
   return lookup(mu_, phases_, name);
 }
 
-void MetricsRegistry::write_json(JsonWriter& w) const {
+void MetricsRegistry::write_json(JsonWriter& w, bool with_wall) const {
   std::lock_guard<std::mutex> lock(mu_);
   w.begin_object();
   w.key("counters").begin_object();
@@ -90,10 +90,9 @@ void MetricsRegistry::write_json(JsonWriter& w) const {
   w.end_object();
   w.begin_array("phases");
   for (const auto& [name, p] : phases_) {
-    w.begin_object()
-        .field("name", std::string_view(name))
-        .field("wall_seconds", p->wall_seconds())
-        .field("modeled_seconds", p->modeled_seconds())
+    w.begin_object().field("name", std::string_view(name));
+    if (with_wall) w.field("wall_seconds", p->wall_seconds());
+    w.field("modeled_seconds", p->modeled_seconds())
         .field("entries", p->entries())
         .end_object();
   }
@@ -136,8 +135,10 @@ void restore_registry_json(MetricsRegistry& into, std::string_view json) {
   }
   if (const JsonValue* phases = doc.find("phases"); phases != nullptr) {
     for (const JsonValue& p : phases->items()) {
+      const JsonValue* wall = p.find("wall_seconds");
       into.phase(p.at("name").as_string())
-          .merge(p.at("wall_seconds").as_double(), p.at("modeled_seconds").as_double(),
+          .merge(wall != nullptr ? wall->as_double() : 0.0,
+                 p.at("modeled_seconds").as_double(),
                  static_cast<std::uint64_t>(p.at("entries").as_int()));
     }
   }

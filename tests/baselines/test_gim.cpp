@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "eim/eim/pipeline.hpp"
 #include "eim/graph/generators.hpp"
@@ -43,20 +44,42 @@ TEST(RunGim, ZeroWeightEdgesNeverActivate) {
   EXPECT_EQ(r.total_elements, r.num_sets);
 }
 
-TEST(RunGim, MatchesSerialReferenceExactly) {
+struct ParityCase {
+  const char* name;
+  DiffusionModel model;
+  std::function<graph::EdgeList()> build;
+};
+
+class RunGim : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(RunGim, MatchesSerialReferenceExactly) {
   // gIM has no source elimination, so its collection equals the serial
   // reference's and the greedy answer must be bit-identical.
-  const Graph g = make_graph();
+  const ParityCase& c = GetParam();
+  Graph g = Graph::from_edge_list(c.build());
+  graph::assign_weights(g, c.model);
   imm::ImmParams params = make_params();
   gpusim::Device device(gpusim::make_benchmark_device(256));
-  const auto gim = run_gim(device, g, DiffusionModel::IndependentCascade, params);
+  const auto gim = run_gim(device, g, c.model, params);
 
   params.eliminate_sources = false;
-  const auto serial = imm::run_imm_serial(g, DiffusionModel::IndependentCascade, params);
+  const auto serial = imm::run_imm_serial(g, c.model, params);
   EXPECT_EQ(gim.seeds, serial.seeds);
   EXPECT_EQ(gim.num_sets, serial.num_sets);
   EXPECT_EQ(gim.total_elements, serial.total_elements);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, RunGim,
+    ::testing::Values(
+        ParityCase{"ic", DiffusionModel::IndependentCascade,
+                   [] { return graph::barabasi_albert(500, 3, 0.3, 7); }},
+        // Mean in-degree ~100: every LT pick scans several warp chunks.
+        ParityCase{"lt_dense", DiffusionModel::LinearThreshold,
+                   [] { return graph::erdos_renyi(400, 40000, 7); }}),
+    [](const ::testing::TestParamInfo<ParityCase>& param_info) {
+      return param_info.param.name;
+    });
 
 TEST(RunGim, StoresRrrSetsUncompressed) {
   const Graph g = make_graph();

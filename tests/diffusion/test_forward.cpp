@@ -108,6 +108,27 @@ TEST(SimulateIc, ZeroWeightEdgeSurvivesAnExactZeroDraw) {
   EXPECT_EQ(simulate_ic(g, seeds, 0, 13896210), 1u);
 }
 
+TEST(SimulateIc, GoldenCascadesPinTheDrawOrder) {
+  // Golden cascades on a near-critical random graph with mixed weights and
+  // duplicate seeds: any change to the breadth-first visit order, the seed
+  // deduplication or the one-draw-per-inactive-neighbor rule moves them.
+  Graph g = Graph::from_edge_list(graph::erdos_renyi(400, 2400, 13));
+  graph::WeightParams wp;
+  wp.scheme = graph::WeightScheme::RandomUniform;
+  wp.value = 0.4f;
+  graph::assign_weights(g, DiffusionModel::IndependentCascade, wp);
+  const std::vector<VertexId> seeds{5, 17, 5, 250, 17, 3};
+  const std::vector<std::uint32_t> golden{33, 187, 119, 168, 159, 26, 188, 28};
+  for (std::uint64_t t = 0; t < golden.size(); ++t) {
+    EXPECT_EQ(simulate_ic(g, seeds, 2024, t), golden[t]) << "trial " << t;
+  }
+  const SpreadEstimate est =
+      estimate_spread(g, DiffusionModel::IndependentCascade, seeds, 300, 99);
+  EXPECT_DOUBLE_EQ(est.mean, 110.32666666666668);
+  EXPECT_DOUBLE_EQ(est.stddev, 52.026684260476877);
+  EXPECT_EQ(est.trials, 300u);
+}
+
 TEST(SimulateLt, PathActivatesFully) {
   // Single in-neighbor with weight 1.0 >= any threshold in [0,1).
   Graph g = make_path(5);

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -153,6 +154,28 @@ TEST(Checkpoint, CheckpointingDoesNotPerturbTheAnswer) {
   EXPECT_DOUBLE_EQ(plain.device_seconds, with_ckpt.device_seconds);
   EXPECT_TRUE(std::filesystem::exists(dir.path + "/manifest.json"));
   EXPECT_TRUE(std::filesystem::exists(dir.path + "/snapshot.bin"));
+}
+
+TEST(Checkpoint, IdenticalRunsWriteIdenticalSnapshots) {
+  // The metrics snapshot leaves out wall seconds, and one sampler block
+  // fixes the commit order, so two identical runs write the same bytes.
+  const Graph g = make_graph();
+  std::string bytes[2];
+  for (std::string& out : bytes) {
+    TempDir dir("eim_ckpt_bytes");
+    support::metrics::MetricsRegistry reg;
+    EimOptions options;
+    options.sampler_blocks = 1;
+    options.metrics = &reg;
+    options.checkpoint_dir = dir.path;
+    gpusim::Device dev(gpusim::make_benchmark_device(256));
+    (void)run_eim(dev, g, DiffusionModel::IndependentCascade, make_params(), options);
+    std::ifstream in(dir.path + "/snapshot.bin", std::ios::binary);
+    out.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_TRUE(bytes[0] == bytes[1]) << "snapshot.bin sizes " << bytes[0].size() << " and "
+                                    << bytes[1].size();
 }
 
 TEST(Checkpoint, ResumeFromCompletedRunReplaysFinalSelect) {

@@ -19,12 +19,15 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eim/diffusion/forward.hpp"
 #include "eim/eim/checkpoint.hpp"
 #include "eim/eim/multi_gpu.hpp"
 #include "eim/eim/pipeline.hpp"
+#include "eim/eim/rrr_collection.hpp"
+#include "eim/eim/sampler.hpp"
 #include "eim/graph/generators.hpp"
 #include "eim/support/error.hpp"
 #include "eim/support/metrics.hpp"
@@ -252,7 +255,8 @@ TEST(DrawModeAlias, PickFrequenciesMatchPrefixScan) {
       alias_counts[pick] += 1.0;
     }
 
-    // The exact walk_lt scan on the same draw (float accumulation, strict <).
+    // The exact LT pick on the same draw (traversal::Exact::pick: sequential
+    // float accumulation, strict <).
     float cum = 0.0f;
     std::size_t scan_pick = weights.size();
     for (std::size_t j = 0; j < weights.size(); ++j) {
@@ -356,6 +360,45 @@ TEST(DrawModeEndToEnd, SaturatedWeightsGiveBitIdenticalSeedsAcrossModes) {
   const EimResult skip = run_eim(skip_dev, g, DiffusionModel::IndependentCascade,
                                  params, skip_options());
   expect_same_answer(exact, skip);
+}
+
+TEST(DrawModeEndToEnd, MixedRowsCommitTheExactCollection) {
+  // Random per-edge weights make every IC row Mixed, so the skip sampler's
+  // only path is its exact per-slice sweep: the same draws in the same
+  // order as exact mode, hence the bit-identical collection.
+  Graph g = Graph::from_edge_list(graph::complete_graph(24));
+  graph::WeightParams wp;
+  wp.scheme = graph::WeightScheme::RandomUniform;
+  wp.value = 0.1f;
+  graph::assign_weights(g, DiffusionModel::IndependentCascade, wp);
+  ASSERT_NE(g.draw_plan(), nullptr);
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(g.draw_plan()->kind(v), DrawPlan::IcKind::Mixed) << "vertex " << v;
+  }
+
+  const auto sample = [&](DrawMode mode) {
+    auto device = std::make_unique<gpusim::Device>(gpusim::make_benchmark_device(256));
+    auto collection = std::make_unique<DeviceRrrCollection>(*device, g.num_vertices(), true);
+    EimOptions options;
+    options.draw_mode = mode;
+    options.sampler_blocks = 8;
+    EimSampler sampler(*device, g, DiffusionModel::IndependentCascade, make_params(),
+                       options);
+    sampler.sample_to(*collection, 2000);
+    return std::make_pair(std::move(device), std::move(collection));
+  };
+  const auto exact = sample(DrawMode::Exact);
+  const auto skip = sample(DrawMode::Skip);
+  const DeviceRrrCollection& a = *exact.second;
+  const DeviceRrrCollection& b = *skip.second;
+  ASSERT_EQ(a.num_sets(), b.num_sets());
+  ASSERT_EQ(a.total_elements(), b.total_elements());
+  for (std::uint64_t i = 0; i < a.num_sets(); ++i) {
+    ASSERT_EQ(a.set_length(i), b.set_length(i)) << "set " << i;
+    for (std::uint32_t j = 0; j < a.set_length(i); ++j) {
+      ASSERT_EQ(a.element(i, j), b.element(i, j)) << "set " << i;
+    }
+  }
 }
 
 TEST(DrawModeEndToEnd, SkipSpreadMatchesExactForBothModels) {

@@ -1,6 +1,7 @@
 // Wide parity sweep: the eIM kernel must equal the serial reference on
 // every structural extreme — hubs, cycles, cliques, bipartite layers,
-// degenerate paths — under both models and both elimination settings.
+// degenerate paths, in-degrees past one warp — under both models and both
+// elimination settings.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -87,7 +88,12 @@ INSTANTIATE_TEST_SUITE_P(
                    [] {
                      return graph::rmat({.scale = 8, .num_edges = 1200}, 9);
                    },
-                   DiffusionModel::LinearThreshold, true}),
+                   DiffusionModel::LinearThreshold, true},
+        // Mean in-degree ~100, so an LT pick spans several warp chunks and a
+        // chunk-then-base float sum rounds differently from the sequential
+        // one (set 37 is the first to differ).
+        FamilyCase{"er_dense_lt", [] { return graph::erdos_renyi(400, 40000, 7); },
+                   DiffusionModel::LinearThreshold, false}),
     [](const ::testing::TestParamInfo<FamilyCase>& param_info) {
       return param_info.param.name;
     });

@@ -12,8 +12,9 @@
 // first frame, scanning leaf to root, whose function name (the demangled
 // symbol before its parameter list) matches a known hot-path bucket:
 //
-//   sampler   Monte Carlo RRR generation (EimSampler/RrrSampler BFS + walk,
-//             the shared ic_sweep edge kernel)
+//   sampler   Monte Carlo RRR generation (the traversal core's ic_bfs and
+//             lt_walk with their draw policies, the shared ic_sweep edge
+//             kernel, and the EimSampler/GimSampler/RrrSampler drivers)
 //   rng.skip  fast-draw arithmetic: geometric skip-ahead draws and
 //             alias-table picks (--draw-mode skip)
 //   rng.gen   Philox block generation and bulk refills
@@ -94,8 +95,8 @@ std::vector<Bucket> make_buckets() {
         "store_release_range", "encode", "BitmapSet", "Huffman", "varint"},
        0},
       {"sampler",
-       {"EimSampler", "RrrSampler", "ic_sweep", "bfs_ic", "walk_lt", "sample_ic",
-        "sample_lt", "sample_into", "sample_rrr", "sample_assigned", "sample_to",
+       {"EimSampler", "RrrSampler", "GimSampler", "traversal::", "ic_bfs", "lt_walk",
+        "ic_sweep", "sample_into", "sample_rrr", "sample_assigned", "sample_to",
         "generate", "launch_blocks", "try_commit", "wave_body"},
        0},
       {"selector",
@@ -112,7 +113,7 @@ std::vector<Bucket> make_buckets() {
 
 /// The part of a demangled frame that names the function: everything
 /// before its parameter list. Patterns never match parameter types —
-/// `bfs_ic(..., RandomStream&)` is traversal, not draw plumbing.
+/// `ic_bfs<...>(..., RandomStream&)` is traversal, not draw plumbing.
 std::string_view frame_name(std::string_view frame) {
   constexpr std::string_view kAnon = "(anonymous namespace)";
   std::size_t pos = 0;
